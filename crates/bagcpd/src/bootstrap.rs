@@ -5,11 +5,19 @@
 //! from the Dirichlet posteriors
 //! `{ψ_{t-τ}, …} ~ Dir(τ ψ_{t-τ}, …)` and `{ψ_t, …} ~ Dir(τ' ψ_t, …)`
 //! (Appendix B; for equal weights these are the flat `Dir(1, …, 1)` of
-//! Appendix A). The score is recomputed for each replicate — cheaply,
-//! because the EMD matrix is fixed — and the `α/2` and `1-α/2` empirical
-//! quantiles form the confidence interval.
+//! Appendix A). The score is recomputed for each replicate, and the
+//! `α/2` and `1-α/2` empirical quantiles form the confidence interval.
+//!
+//! The EMD matrix is fixed across replicates, so its floored logs are
+//! taken once per inspection point into a log-distance block, and every
+//! replicate reads that block rather than the raw EMD matrix: no `ln`,
+//! no allocation once the scratch is warm. One batch kernel scores any
+//! run of replicate seeds; `threads > 1` splits the seeds across scoped
+//! threads that each run it.
 
 use crate::score::{ScoreKind, WindowScorer};
+use infoest::LogBlock;
+use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use stats::descriptive::quantile_sorted;
@@ -68,8 +76,8 @@ pub struct ConfidenceInterval {
 }
 
 /// Reusable buffers for bootstrap replicate evaluation: per-replicate
-/// seeds, resampled Dirichlet weights, and the replicate score
-/// accumulator.
+/// seeds, the window's log-distance block, resampled Dirichlet weights,
+/// and the replicate score accumulator.
 ///
 /// One scratch reused across inspection points — and across *streams*,
 /// as the worker tick in `crates/stream` does — makes the bootstrap hot
@@ -86,12 +94,26 @@ pub struct BootstrapScratch {
     alpha_ref: Vec<f64>,
     /// Dirichlet concentrations of the test-window posterior.
     alpha_test: Vec<f64>,
+    /// Floored log distances of the window, taken once per call.
+    logs: LogBlock,
+    /// Replicate buffers, one per worker thread (the serial path uses
+    /// the first).
+    workers: Vec<ReplicateScratch>,
+}
+
+/// The buffers one run of [`Replicates::score_into`] works in.
+#[derive(Debug, Clone, Default)]
+struct ReplicateScratch {
     /// Per-replicate RNG streams for the batched draws.
-    rngs: Vec<rand::rngs::StdRng>,
+    rngs: Vec<StdRng>,
     /// Resampled reference-window weights, one row per replicate.
     weights_ref: Vec<f64>,
     /// Resampled test-window weights, one row per replicate.
     weights_test: Vec<f64>,
+    /// One replicate's normalized reference weights.
+    psi_ref: Vec<f64>,
+    /// One replicate's normalized test weights.
+    psi_test: Vec<f64>,
 }
 
 impl BootstrapScratch {
@@ -155,36 +177,36 @@ pub fn bootstrap_ci_with(
         .seeds
         .extend((0..cfg.replicates).map(|_| rng.gen::<u64>()));
 
+    // Only the weights change between replicates: take the logs once.
+    scorer.log_block_into(&mut scratch.logs);
+    let batch = Replicates {
+        scorer,
+        kind,
+        logs: &scratch.logs,
+        alpha_ref: &scratch.alpha_ref,
+        alpha_test: &scratch.alpha_test,
+    };
+    let chunk = cfg.replicates.div_ceil(cfg.threads);
+    let workers = cfg.replicates.div_ceil(chunk);
+    if scratch.workers.len() < workers {
+        scratch.workers.resize_with(workers, Default::default);
+    }
     scratch.scores.clear();
-    if cfg.threads <= 1 {
-        replicate_batch_into(
-            scorer,
-            kind,
-            &scratch.alpha_ref,
-            &scratch.alpha_test,
-            &scratch.seeds,
-            &mut scratch.rngs,
-            &mut scratch.weights_ref,
-            &mut scratch.weights_test,
-            &mut scratch.scores,
-        );
+    scratch.scores.resize(cfg.replicates, 0.0);
+    if workers == 1 {
+        batch.score_into(&scratch.seeds, &mut scratch.workers[0], &mut scratch.scores);
     } else {
-        let seeds = &scratch.seeds;
-        let scores = &mut scratch.scores;
-        let chunk = seeds.len().div_ceil(cfg.threads);
-        let (alpha_ref, alpha_test) = (&scratch.alpha_ref, &scratch.alpha_test);
+        // Each thread scores one contiguous run of seeds into its own
+        // run of `scores`, so the order matches the serial path.
         std::thread::scope(|s| {
-            let handles: Vec<_> = seeds
+            let runs = scratch
+                .seeds
                 .chunks(chunk)
-                .map(|chunk_seeds| {
-                    s.spawn(move || {
-                        replicate_range(scorer, kind, alpha_ref, alpha_test, chunk_seeds)
-                    })
-                })
-                // lint:allow(NO_ALLOC_HOT_PATH, one handle per thread in the explicitly multi-threaded branch; the threads<=1 streaming path never reaches this)
-                .collect();
-            for h in handles {
-                scores.extend(h.join().expect("bootstrap worker panicked"));
+                .zip(scratch.scores.chunks_mut(chunk))
+                .zip(&mut scratch.workers);
+            for ((seeds, out), bufs) in runs {
+                let batch = &batch;
+                s.spawn(move || batch.score_into(seeds, bufs, out));
             }
         });
     }
@@ -201,87 +223,53 @@ pub fn bootstrap_ci_with(
     }
 }
 
-/// Evaluate all replicates with batched Dirichlet draws: all weight rows
-/// are filled in two component-major sweeps (one per window) before any
-/// score runs, instead of re-walking the alpha vectors per replicate.
-/// Rows are bit-identical to [`replicate_into`]'s per-replicate draws —
-/// each replicate's RNG sees the same stream — so the scores (and the
-/// CI) are unchanged.
-#[allow(clippy::too_many_arguments)]
-fn replicate_batch_into(
-    scorer: &WindowScorer,
+/// What every replicate of one inspection point shares: the scorer, its
+/// log-distance block, and the two Dirichlet posteriors.
+struct Replicates<'a> {
+    scorer: &'a WindowScorer,
     kind: ScoreKind,
-    alpha_ref: &[f64],
-    alpha_test: &[f64],
-    seeds: &[u64],
-    rngs: &mut Vec<rand::rngs::StdRng>,
-    wr_rows: &mut Vec<f64>,
-    wt_rows: &mut Vec<f64>,
-    out: &mut Vec<f64>,
-) {
-    let nr = alpha_ref.len();
-    let nt = alpha_test.len();
-    rngs.clear();
-    rngs.extend(
-        seeds
-            .iter()
-            .map(|&seed| rand::rngs::StdRng::seed_from_u64(seed)),
-    );
-    wr_rows.clear();
-    wr_rows.resize(seeds.len() * nr, 0.0);
-    wt_rows.clear();
-    wt_rows.resize(seeds.len() * nt, 0.0);
-    // Reference rows first, then test rows, continuing the same RNGs —
-    // the per-replicate draw order of `replicate_into`.
-    Dirichlet::sample_alpha_batch_into(alpha_ref, rngs, wr_rows);
-    Dirichlet::sample_alpha_batch_into(alpha_test, rngs, wt_rows);
-    out.reserve(seeds.len());
-    for (wr, wt) in wr_rows.chunks(nr).zip(wt_rows.chunks(nt)) {
-        out.push(scorer.score(kind, wr, wt));
-    }
+    logs: &'a LogBlock,
+    alpha_ref: &'a [f64],
+    alpha_test: &'a [f64],
 }
 
-/// Evaluate one batch of bootstrap replicates into caller buffers.
-#[allow(clippy::too_many_arguments)]
-fn replicate_into(
-    scorer: &WindowScorer,
-    kind: ScoreKind,
-    alpha_ref: &[f64],
-    alpha_test: &[f64],
-    seeds: &[u64],
-    wr: &mut Vec<f64>,
-    wt: &mut Vec<f64>,
-    out: &mut Vec<f64>,
-) {
-    wr.clear();
-    wr.resize(alpha_ref.len(), 0.0);
-    wt.clear();
-    wt.resize(alpha_test.len(), 0.0);
-    out.reserve(seeds.len());
-    for &seed in seeds {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        Dirichlet::sample_alpha_into(alpha_ref, &mut rng, wr);
-        Dirichlet::sample_alpha_into(alpha_test, &mut rng, wt);
-        out.push(scorer.score(kind, wr, wt));
+impl Replicates<'_> {
+    /// The batch kernel: score the replicate of each seed into the
+    /// matching slot of `out`.
+    ///
+    /// All weight rows are drawn first, in two component-major sweeps
+    /// (one per window) over per-replicate RNG streams. Each replicate's
+    /// RNG sees the same stream as a per-replicate draw of the reference
+    /// weights then the test weights, so a replicate's score depends
+    /// only on its seed, never on which run of seeds it was batched in.
+    fn score_into(&self, seeds: &[u64], bufs: &mut ReplicateScratch, out: &mut [f64]) {
+        debug_assert_eq!(seeds.len(), out.len());
+        let nr = self.alpha_ref.len();
+        let nt = self.alpha_test.len();
+        bufs.rngs.clear();
+        bufs.rngs
+            .extend(seeds.iter().map(|&seed| StdRng::seed_from_u64(seed)));
+        bufs.weights_ref.clear();
+        bufs.weights_ref.resize(seeds.len() * nr, 0.0);
+        bufs.weights_test.clear();
+        bufs.weights_test.resize(seeds.len() * nt, 0.0);
+        Dirichlet::sample_alpha_batch_into(self.alpha_ref, &mut bufs.rngs, &mut bufs.weights_ref);
+        Dirichlet::sample_alpha_batch_into(self.alpha_test, &mut bufs.rngs, &mut bufs.weights_test);
+        let rows = bufs
+            .weights_ref
+            .chunks(nr)
+            .zip(bufs.weights_test.chunks(nt));
+        for ((wr, wt), slot) in rows.zip(out) {
+            *slot = self.scorer.score_logs_with(
+                self.kind,
+                self.logs,
+                wr,
+                wt,
+                &mut bufs.psi_ref,
+                &mut bufs.psi_test,
+            );
+        }
     }
-}
-
-/// Evaluate one batch of bootstrap replicates (thread-pool path: each
-/// worker owns its buffers).
-fn replicate_range(
-    scorer: &WindowScorer,
-    kind: ScoreKind,
-    alpha_ref: &[f64],
-    alpha_test: &[f64],
-    seeds: &[u64],
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(seeds.len());
-    let mut wr = Vec::new();
-    let mut wt = Vec::new();
-    replicate_into(
-        scorer, kind, alpha_ref, alpha_test, seeds, &mut wr, &mut wt, &mut out,
-    );
-    out
 }
 
 #[cfg(test)]
@@ -419,36 +407,52 @@ mod tests {
 
     #[test]
     fn batched_replicates_match_per_replicate_draws_bitwise() {
-        let s = scorer(&[0.0, 0.3, 0.6, 2.0, 2.3, 2.6], 3, 3);
-        let (wr, wt) = (equal_weights(3), equal_weights(3));
-        let mut alpha_ref = Vec::new();
-        let mut alpha_test = Vec::new();
-        Dirichlet::alpha_from_weights(&wr, &mut alpha_ref);
-        Dirichlet::alpha_from_weights(&wt, &mut alpha_test);
-        let seeds: Vec<u64> = (0..64).map(|i| 1000 + i * 17).collect();
+        // The batch kernel (batched draws, cached logs, hoisted weight
+        // normalization) must reproduce, bit for bit, one replicate at a
+        // time: draw its weights from its own RNG, then score them with
+        // the distance form. Split runs of seeds (the threaded path)
+        // must give the same bits too.
+        for kind in [ScoreKind::SymmetrizedKl, ScoreKind::LikelihoodRatio] {
+            let s = scorer(&[0.0, 0.3, 0.6, 2.0, 2.3, 2.6], 3, 3);
+            let (wr, wt) = (equal_weights(3), vec![0.5, 0.3, 0.2]);
+            let mut alpha_ref = Vec::new();
+            let mut alpha_test = Vec::new();
+            Dirichlet::alpha_from_weights(&wr, &mut alpha_ref);
+            Dirichlet::alpha_from_weights(&wt, &mut alpha_test);
+            let seeds: Vec<u64> = (0..64).map(|i| 1000 + i * 17).collect();
 
-        let per_replicate = replicate_range(
-            &s,
-            ScoreKind::SymmetrizedKl,
-            &alpha_ref,
-            &alpha_test,
-            &seeds,
-        );
-        let mut batched = Vec::new();
-        replicate_batch_into(
-            &s,
-            ScoreKind::SymmetrizedKl,
-            &alpha_ref,
-            &alpha_test,
-            &seeds,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut batched,
-        );
-        assert_eq!(per_replicate.len(), batched.len());
-        for (i, (a, b)) in per_replicate.iter().zip(&batched).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "replicate {i}");
+            let per_replicate: Vec<f64> = seeds
+                .iter()
+                .map(|&seed| {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut r = vec![0.0; 3];
+                    let mut t = vec![0.0; 3];
+                    Dirichlet::sample_alpha_into(&alpha_ref, &mut rng, &mut r);
+                    Dirichlet::sample_alpha_into(&alpha_test, &mut rng, &mut t);
+                    s.score(kind, &r, &t)
+                })
+                .collect();
+
+            let mut logs = LogBlock::new();
+            s.log_block_into(&mut logs);
+            let batch = Replicates {
+                scorer: &s,
+                kind,
+                logs: &logs,
+                alpha_ref: &alpha_ref,
+                alpha_test: &alpha_test,
+            };
+            let mut whole = vec![0.0; seeds.len()];
+            batch.score_into(&seeds, &mut ReplicateScratch::default(), &mut whole);
+            let mut split = vec![0.0; seeds.len()];
+            let mut bufs = ReplicateScratch::default();
+            for (run, out) in seeds.chunks(23).zip(split.chunks_mut(23)) {
+                batch.score_into(run, &mut bufs, out);
+            }
+            for (i, a) in per_replicate.iter().enumerate() {
+                assert_eq!(a.to_bits(), whole[i].to_bits(), "{kind:?} replicate {i}");
+                assert_eq!(a.to_bits(), split[i].to_bits(), "{kind:?} replicate {i}");
+            }
         }
     }
 

@@ -3,8 +3,10 @@
 //! Both scores are functions of (a) the pairwise EMDs among the window's
 //! signatures and (b) the window weights. The Bayesian bootstrap of §4.2
 //! resamples only the weights, so [`WindowScorer`] caches the distance
-//! matrix once per inspection point and re-evaluates scores cheaply for
-//! every bootstrap replicate.
+//! matrix once per inspection point. The bootstrap takes its floored
+//! logs once more (`WindowScorer::log_block_into`), and every replicate
+//! is scored from that log-distance block, not from the raw EMD matrix
+//! — bit-identical to [`WindowScorer::score`].
 
 use crate::error::DetectError;
 use crate::signature_builder::GroundMetric;
@@ -14,7 +16,9 @@ use emd::{
     TransportScratch,
 };
 use infoest::{
-    auto_entropy_block, cross_entropy_block, information_content, DistanceMatrix, EstimatorConfig,
+    auto_entropy_block, auto_entropy_logs, cross_entropy_block, cross_entropy_logs,
+    information_content, information_content_logs, DistanceMatrix, EstimatorConfig, LogBlock,
+    Normalized,
 };
 
 /// Which optimal-transport solver computes the signature distances.
@@ -466,16 +470,7 @@ impl WindowScorer {
     /// Panics if `tau_prime < 2` (the leave-`S_t`-out test set would be
     /// empty); the detector validates this up front.
     pub fn score_lr(&self, ref_weights: &[f64], test_weights: &[f64]) -> f64 {
-        assert!(
-            self.tau_prime >= 2,
-            "score_lr requires tau' >= 2 (S_test \\ S_t must be non-empty)"
-        );
-        assert_eq!(ref_weights.len(), self.tau, "score_lr: ref weights length");
-        assert_eq!(
-            test_weights.len(),
-            self.tau_prime,
-            "score_lr: test weights length"
-        );
+        self.check_shape(ScoreKind::LikelihoodRatio, ref_weights, test_weights);
         let t_idx = self.tau; // S_t is the first test signature
         let trow = self.dist.row(t_idx);
 
@@ -498,12 +493,7 @@ impl WindowScorer {
     /// Eq. (17): symmetrized KL divergence between the two windows,
     /// `H(S_ref, S_test) - (H(S_ref) + H(S_test)) / 2`.
     pub fn score_kl(&self, ref_weights: &[f64], test_weights: &[f64]) -> f64 {
-        assert_eq!(ref_weights.len(), self.tau, "score_kl: ref weights length");
-        assert_eq!(
-            test_weights.len(),
-            self.tau_prime,
-            "score_kl: test weights length"
-        );
+        self.check_shape(ScoreKind::SymmetrizedKl, ref_weights, test_weights);
         let w = self.tau + self.tau_prime;
         // Evaluate every term directly against the cached window matrix
         // (no block extraction): this method runs once per bootstrap
@@ -519,6 +509,76 @@ impl WindowScorer {
         let h_ref = auto_entropy_block(&self.dist, 0..self.tau, ref_weights, &self.est);
         let h_test = auto_entropy_block(&self.dist, self.tau..w, test_weights, &self.est);
         h_cross - 0.5 * (h_ref + h_test)
+    }
+
+    /// Fill `out` with the floored logs of this window's distances: the
+    /// block [`WindowScorer::score_logs_with`] reads. Allocation-free
+    /// once `out` has held a window of this shape.
+    pub(crate) fn log_block_into(&self, out: &mut LogBlock) {
+        self.est.log_block_into(&self.dist, out);
+    }
+
+    /// [`WindowScorer::score`] of one bootstrap replicate, read from
+    /// `logs` (this window's [`WindowScorer::log_block_into`]) with each
+    /// weight vector normalized once into `psi_ref` / `psi_test`.
+    /// Bit-identical to [`WindowScorer::score`], and allocation-free once
+    /// the buffers are warm.
+    ///
+    /// # Panics
+    /// As [`WindowScorer::score`], or if `logs` is not window-shaped.
+    pub(crate) fn score_logs_with(
+        &self,
+        kind: ScoreKind,
+        logs: &LogBlock,
+        ref_weights: &[f64],
+        test_weights: &[f64],
+        psi_ref: &mut Vec<f64>,
+        psi_test: &mut Vec<f64>,
+    ) -> f64 {
+        self.check_shape(kind, ref_weights, test_weights);
+        let w = self.tau + self.tau_prime;
+        assert!(
+            logs.rows() == w && logs.cols() == w,
+            "score_logs_with: log block shape"
+        );
+        let wr = Normalized::new_into(ref_weights, psi_ref);
+        match kind {
+            ScoreKind::LikelihoodRatio => {
+                // Eq. (16) as in `score_lr`: row `tau` holds S_t's logs.
+                let wt = Normalized::new_into(&test_weights[1..], psi_test);
+                let i_ref = information_content_logs(logs, self.tau, 0..self.tau, wr);
+                let i_test = information_content_logs(logs, self.tau, self.tau + 1..w, wt);
+                i_ref - i_test
+            }
+            ScoreKind::SymmetrizedKl => {
+                // Eq. (17) as in `score_kl`.
+                let wt = Normalized::new_into(test_weights, psi_test);
+                let h_cross = cross_entropy_logs(logs, 0..self.tau, self.tau..w, wr, wt);
+                let h_ref = auto_entropy_logs(logs, 0..self.tau, wr);
+                let h_test = auto_entropy_logs(logs, self.tau..w, wt);
+                h_cross - 0.5 * (h_ref + h_test)
+            }
+        }
+    }
+
+    /// The weight-shape checks shared by every form of both scores.
+    fn check_shape(&self, kind: ScoreKind, ref_weights: &[f64], test_weights: &[f64]) {
+        let what = match kind {
+            ScoreKind::LikelihoodRatio => {
+                assert!(
+                    self.tau_prime >= 2,
+                    "score_lr requires tau' >= 2 (S_test \\ S_t must be non-empty)"
+                );
+                "score_lr"
+            }
+            ScoreKind::SymmetrizedKl => "score_kl",
+        };
+        assert_eq!(ref_weights.len(), self.tau, "{what}: ref weights length");
+        assert_eq!(
+            test_weights.len(),
+            self.tau_prime,
+            "{what}: test weights length"
+        );
     }
 }
 

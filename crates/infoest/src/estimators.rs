@@ -1,11 +1,19 @@
 //! The three weighted information estimators.
 //!
-//! Each matrix estimator exists in two forms sharing one body: the plain
-//! form over a whole [`DistanceMatrix`], and a `_block` form evaluating
-//! a rectangular sub-block of a larger matrix *in place* — no block
-//! extraction, no allocation — which is what lets the change-point
-//! scores in `bagcpd` evaluate thousands of bootstrap replicates against
-//! one cached window matrix without touching the heap.
+//! Each estimator has one body, evaluated in up to three forms:
+//!
+//! - the plain form over a whole [`DistanceMatrix`] (or distance slice);
+//! - a `_block` form over a rectangular sub-block of a larger matrix,
+//!   read *in place* — no block extraction, no allocation;
+//! - a `_logs` form over a [`LogBlock`], the floored log distances of a
+//!   matrix taken once, with [`Normalized`] weights divided by their sum
+//!   once.
+//!
+//! The change-point scores in `bagcpd` evaluate thousands of Bayesian
+//! bootstrap replicates per inspection point. Only the weights change
+//! between replicates, so each replicate reads the `_logs` form: no
+//! `ln`, no per-term weight division, no heap. The forms share the body,
+//! so they agree bit for bit.
 
 use crate::matrix::DistanceMatrix;
 use std::ops::Range;
@@ -40,6 +48,61 @@ impl EstimatorConfig {
     fn log_dist(&self, d: f64) -> f64 {
         d.max(self.dist_floor).ln()
     }
+
+    /// Fill `out` with the floored log of every entry of `dist`, reusing
+    /// its storage — allocation-free once `out` has held a matrix of
+    /// this size.
+    pub fn log_block_into(&self, dist: &DistanceMatrix, out: &mut LogBlock) {
+        out.rows = dist.rows();
+        out.cols = dist.cols();
+        out.cfg = *self;
+        out.logs.clear();
+        for i in 0..dist.rows() {
+            out.logs
+                .extend(dist.row(i).iter().map(|&d| self.log_dist(d)));
+        }
+    }
+}
+
+/// The floored log distances `ln max(d, dist_floor)` of a
+/// [`DistanceMatrix`], row-major, with the [`EstimatorConfig`] that took
+/// them. Filled by [`EstimatorConfig::log_block_into`] and read by the
+/// `_logs` estimator forms, which take `offset` and `scale` from the
+/// same config.
+#[derive(Debug, Clone, Default)]
+pub struct LogBlock {
+    rows: usize,
+    cols: usize,
+    logs: Vec<f64>,
+    cfg: EstimatorConfig,
+}
+
+impl LogBlock {
+    /// Empty block; storage grows on the first fill.
+    pub fn new() -> Self {
+        LogBlock::default()
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Borrow row `i` of logs.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
+        &self.logs[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// The estimator constants the logs were taken with.
+    pub(crate) fn config(&self) -> &EstimatorConfig {
+        &self.cfg
+    }
 }
 
 /// Validate a weight vector and return its sum.
@@ -51,6 +114,72 @@ fn check_weights(weights: &[f64], what: &str) -> f64 {
         "{what}: weights must be finite, >= 0, with positive sum"
     );
     sum
+}
+
+/// A weight vector validated once and normalized once, `ψ_j = w_j / Σw`:
+/// the weights of the `_logs` estimator forms, so that several
+/// estimators evaluated on the same weights share one normalization.
+#[derive(Debug, Clone, Copy)]
+pub struct Normalized<'a> {
+    raw: &'a [f64],
+    psi: &'a [f64],
+}
+
+impl<'a> Normalized<'a> {
+    /// Check `weights` as every estimator does and write their
+    /// normalized values into `buf` (allocation-free once `buf`'s
+    /// capacity covers them).
+    ///
+    /// # Panics
+    /// Panics on empty or invalid weights.
+    pub fn new_into(weights: &'a [f64], buf: &'a mut Vec<f64>) -> Self {
+        let sum = check_weights(weights, "normalized");
+        buf.clear();
+        buf.extend(weights.iter().map(|&w| w / sum));
+        Normalized {
+            raw: weights,
+            psi: buf,
+        }
+    }
+}
+
+/// The weights an estimator body reads: `ψ_j` divided out per term from
+/// the raw weights (distance forms), or read from a [`Normalized`]
+/// buffer (log forms). Both give the same bits.
+trait Psi: Copy {
+    /// The raw weights; their length is the set size.
+    fn weights(&self) -> &[f64];
+    /// `ψ_j = w_j / Σw`.
+    fn norm(&self, j: usize) -> f64;
+}
+
+/// Raw weights with their sum, normalized term by term.
+#[derive(Clone, Copy)]
+struct PerTerm<'a> {
+    raw: &'a [f64],
+    sum: f64,
+}
+
+impl Psi for PerTerm<'_> {
+    fn weights(&self) -> &[f64] {
+        self.raw
+    }
+
+    #[inline]
+    fn norm(&self, j: usize) -> f64 {
+        self.raw[j] / self.sum
+    }
+}
+
+impl Psi for Normalized<'_> {
+    fn weights(&self) -> &[f64] {
+        self.raw
+    }
+
+    #[inline]
+    fn norm(&self, j: usize) -> f64 {
+        self.psi[j]
+    }
 }
 
 /// Information content `I(S; S') = c + d Σ_j ψ'_j log dist(S'_j, S)`.
@@ -67,10 +196,52 @@ pub fn information_content(dists: &[f64], weights: &[f64], cfg: &EstimatorConfig
         "information_content: dists/weights length mismatch"
     );
     let sum = check_weights(weights, "information_content");
-    let acc: f64 = dists
+    information_content_in(
+        dists,
+        |d| cfg.log_dist(d),
+        PerTerm { raw: weights, sum },
+        cfg,
+    )
+}
+
+/// [`information_content`] of the entries `cols` of row `row` of a
+/// [`LogBlock`]. Bit-identical to the distance form on the same
+/// distances and weights.
+///
+/// # Panics
+/// Panics if the entries exceed the block or the weights length does
+/// not match.
+pub fn information_content_logs(
+    logs: &LogBlock,
+    row: usize,
+    cols: Range<usize>,
+    weights: Normalized,
+) -> f64 {
+    assert!(
+        row < logs.rows() && cols.end <= logs.cols(),
+        "information_content: block out of range"
+    );
+    assert_eq!(
+        cols.len(),
+        weights.raw.len(),
+        "information_content: dists/weights length mismatch"
+    );
+    information_content_in(&logs.row(row)[cols], |v| v, weights, logs.config())
+}
+
+/// The one body of [`information_content`]: `log` turns an entry of
+/// `row` into its log distance.
+#[inline]
+fn information_content_in(
+    row: &[f64],
+    log: impl Fn(f64) -> f64,
+    weights: impl Psi,
+    cfg: &EstimatorConfig,
+) -> f64 {
+    let acc: f64 = row
         .iter()
-        .zip(weights)
-        .map(|(&d, &w)| (w / sum) * cfg.log_dist(d))
+        .enumerate()
+        .map(|(j, &d)| weights.norm(j) * log(d))
         .sum();
     cfg.offset + cfg.scale * acc
 }
@@ -185,29 +356,67 @@ pub fn auto_entropy_block(
         "auto_entropy: weights length mismatch"
     );
     let sum = check_weights(weights, "auto_entropy");
-    let n = weights.len();
+    auto_entropy_in(
+        |i| dist.row(i),
+        at,
+        |d| cfg.log_dist(d),
+        PerTerm { raw: weights, sum },
+        cfg,
+    )
+}
+
+/// [`auto_entropy_block`] read from a [`LogBlock`]. Bit-identical to the
+/// distance form on the same distances and weights.
+///
+/// # Panics
+/// Panics if `at` exceeds the block or the weights length does not
+/// match.
+pub fn auto_entropy_logs(logs: &LogBlock, at: Range<usize>, weights: Normalized) -> f64 {
+    assert!(
+        at.end <= logs.rows() && at.end <= logs.cols(),
+        "auto_entropy: block out of range"
+    );
+    assert_eq!(
+        at.len(),
+        weights.raw.len(),
+        "auto_entropy: weights length mismatch"
+    );
+    auto_entropy_in(|i| logs.row(i), at, |v| v, weights, logs.config())
+}
+
+/// The one body of [`auto_entropy`]: `row(i)` is row `i` of the whole
+/// matrix, and `log` turns one of its entries into a log distance.
+#[inline]
+fn auto_entropy_in<'a>(
+    row: impl Fn(usize) -> &'a [f64],
+    at: Range<usize>,
+    log: impl Fn(f64) -> f64,
+    weights: impl Psi,
+    cfg: &EstimatorConfig,
+) -> f64 {
+    let n = weights.weights().len();
     if n == 1 {
         return cfg.offset;
     }
     let mut acc = 0.0;
     for i in 0..n {
-        let wi = weights[i] / sum;
+        let wi = weights.norm(i);
         if wi >= 1.0 {
             // Degenerate: all mass on one item; leave-one-out undefined,
             // and every other term has ψ_j = 0. Contributes nothing.
             continue;
         }
-        let row = &dist.row(at.start + i)[at.start..at.end];
+        let row = &row(at.start + i)[at.start..at.end];
         let mut inner = 0.0;
-        for j in 0..n {
+        for (j, &d) in row.iter().enumerate() {
             if j == i {
                 continue;
             }
-            let wj = weights[j] / sum;
+            let wj = weights.norm(j);
             if wj == 0.0 {
                 continue;
             }
-            inner += wj * cfg.log_dist(row[j]);
+            inner += wj * log(d);
         }
         acc += wi * inner / (1.0 - wi);
     }
@@ -266,20 +475,88 @@ pub fn cross_entropy_block(
     );
     let sum_s = check_weights(weights_s, "cross_entropy");
     let sum_t = check_weights(weights_t, "cross_entropy");
+    cross_entropy_in(
+        |i| dist.row(i),
+        rows,
+        cols,
+        |d| cfg.log_dist(d),
+        PerTerm {
+            raw: weights_s,
+            sum: sum_s,
+        },
+        PerTerm {
+            raw: weights_t,
+            sum: sum_t,
+        },
+        cfg,
+    )
+}
+
+/// [`cross_entropy_block`] read from a [`LogBlock`]. Bit-identical to
+/// the distance form on the same distances and weights.
+///
+/// # Panics
+/// Panics if the ranges exceed the block or a weights length does not
+/// match.
+pub fn cross_entropy_logs(
+    logs: &LogBlock,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    weights_s: Normalized,
+    weights_t: Normalized,
+) -> f64 {
+    assert!(
+        rows.end <= logs.rows() && cols.end <= logs.cols(),
+        "cross_entropy: block out of range"
+    );
+    assert_eq!(
+        rows.len(),
+        weights_s.raw.len(),
+        "cross_entropy: row weights length mismatch"
+    );
+    assert_eq!(
+        cols.len(),
+        weights_t.raw.len(),
+        "cross_entropy: col weights length mismatch"
+    );
+    cross_entropy_in(
+        |i| logs.row(i),
+        rows,
+        cols,
+        |v| v,
+        weights_s,
+        weights_t,
+        logs.config(),
+    )
+}
+
+/// The one body of [`cross_entropy`]: `row(i)` is row `i` of the whole
+/// matrix, and `log` turns one of its entries into a log distance. Zero
+/// weights are skipped on their raw values.
+#[inline]
+fn cross_entropy_in<'a>(
+    row: impl Fn(usize) -> &'a [f64],
+    rows: Range<usize>,
+    cols: Range<usize>,
+    log: impl Fn(f64) -> f64,
+    weights_s: impl Psi,
+    weights_t: impl Psi,
+    cfg: &EstimatorConfig,
+) -> f64 {
     let mut acc = 0.0;
-    for (i, &wi) in weights_s.iter().enumerate() {
+    for (i, &wi) in weights_s.weights().iter().enumerate() {
         if wi == 0.0 {
             continue;
         }
-        let row = &dist.row(rows.start + i)[cols.start..cols.end];
+        let row = &row(rows.start + i)[cols.start..cols.end];
         let mut inner = 0.0;
-        for (j, &wj) in weights_t.iter().enumerate() {
+        for (j, (&wj, &d)) in weights_t.weights().iter().zip(row).enumerate() {
             if wj == 0.0 {
                 continue;
             }
-            inner += (wj / sum_t) * cfg.log_dist(row[j]);
+            inner += weights_t.norm(j) * log(d);
         }
-        acc += (wi / sum_s) * inner;
+        acc += weights_s.norm(i) * inner;
     }
     cfg.offset + cfg.scale * acc
 }

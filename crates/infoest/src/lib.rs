@@ -18,12 +18,19 @@
 //! This crate is deliberately metric-agnostic: it consumes plain distance
 //! slices/matrices, so the caller decides whether distances are EMDs
 //! between signatures (as in the paper) or anything else.
+//!
+//! Every estimator also has a `_logs` form that reads a [`LogBlock`]:
+//! the floored log distances of a matrix, taken once. A Bayesian
+//! bootstrap re-weights one fixed matrix many times, so its replicates
+//! read the cached logs instead of the raw distances and never call
+//! `ln`. Both forms share one body and agree bit for bit.
 
 pub mod estimators;
 pub mod matrix;
 
 pub use estimators::{
-    auto_entropy, auto_entropy_block, cross_entropy, cross_entropy_block, information_content,
-    information_content_knn, information_content_knn_with, EstimatorConfig,
+    auto_entropy, auto_entropy_block, auto_entropy_logs, cross_entropy, cross_entropy_block,
+    cross_entropy_logs, information_content, information_content_knn, information_content_knn_with,
+    information_content_logs, EstimatorConfig, LogBlock, Normalized,
 };
 pub use matrix::DistanceMatrix;
