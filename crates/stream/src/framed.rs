@@ -1,12 +1,12 @@
-//! The one framed-log core shared by every durable append-only log in
-//! the runtime ([`crate::sink::SpillLog`], [`crate::scorelog`]).
+//! The framed-log core under every durable append-only log in the
+//! runtime: the score log ([`crate::scorelog`]) and the degraded-mode
+//! spill log ([`crate::sink::SpillLog`]), which is a score log of events
+//! not yet delivered. This module owns the on-disk shape; the frame
+//! payloads are the owner's business (both owners use
+//! [`crate::scorelog::format`], itself built on [`crate::wire`]):
 //!
-//! Both logs used to hand-roll the same on-disk shape; a fix to one
-//! scanner could silently miss the other. This module owns the layout
-//! once:
-//!
-//! - an 8-byte magic (per log type, carrying its format version digit —
-//!   `BCPDSPL1`, `BCPDSLG1`, …) so a log never parses a foreign file;
+//! - an 8-byte magic carrying the payload format's version digit
+//!   (`BCPDSLG1`) so a log never parses a foreign file;
 //! - frames of `[u32 LE payload length][u64 LE FNV-1a(payload)][payload]`;
 //! - torn tails (a `kill -9` mid-append) detected on open — bad length,
 //!   bad checksum, short read, or a payload the owner refuses — and
@@ -306,89 +306,6 @@ fn read_up_to(file: &mut File, buf: &mut [u8]) -> io::Result<usize> {
     Ok(filled)
 }
 
-/// Little-endian encode/decode helpers shared by every framed-log
-/// payload format (hand-rolled — no serde in this workspace):
-/// integers, f64 bit patterns, length-prefixed UTF-8.
-pub mod wire {
-    /// Append a little-endian u32.
-    pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian u64.
-    pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append an f64 as its little-endian bit pattern.
-    pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-        buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-        put_u32(buf, s.len() as u32);
-        buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// A bounds-checked decoding cursor over one frame payload; every
-    /// accessor returns `None` past the end (decoders turn that into a
-    /// refused frame, never a panic).
-    pub struct Cursor<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Cursor<'a> {
-        /// Decode from the start of `buf`.
-        pub fn new(buf: &'a [u8]) -> Self {
-            Cursor { buf, pos: 0 }
-        }
-
-        /// Whether every byte has been consumed (a well-formed frame
-        /// decodes exactly, with no trailing garbage).
-        pub fn at_end(&self) -> bool {
-            self.pos == self.buf.len()
-        }
-
-        /// Take `n` raw bytes.
-        pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-            let end = self.pos.checked_add(n)?;
-            let slice = self.buf.get(self.pos..end)?;
-            self.pos = end;
-            Some(slice)
-        }
-
-        /// One byte.
-        pub fn u8(&mut self) -> Option<u8> {
-            self.take(1).map(|b| b[0])
-        }
-
-        /// Little-endian u32.
-        pub fn u32(&mut self) -> Option<u32> {
-            self.take(4)
-                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        }
-
-        /// Little-endian u64.
-        pub fn u64(&mut self) -> Option<u64> {
-            self.take(8)
-                .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-        }
-
-        /// f64 from its little-endian bit pattern.
-        pub fn f64(&mut self) -> Option<f64> {
-            self.u64().map(f64::from_bits)
-        }
-
-        /// Length-prefixed UTF-8 string.
-        pub fn str(&mut self) -> Option<&'a str> {
-            let len = self.u32()? as usize;
-            std::str::from_utf8(self.take(len)?).ok()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,21 +461,5 @@ mod tests {
         );
         assert_eq!(seen, 1);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn wire_cursor_round_trips_and_bounds_checks() {
-        let mut buf = Vec::new();
-        wire::put_u32(&mut buf, 7);
-        wire::put_u64(&mut buf, u64::MAX - 1);
-        wire::put_f64(&mut buf, -0.125);
-        wire::put_str(&mut buf, "naïve");
-        let mut cur = wire::Cursor::new(&buf);
-        assert_eq!(cur.u32(), Some(7));
-        assert_eq!(cur.u64(), Some(u64::MAX - 1));
-        assert_eq!(cur.f64().map(f64::to_bits), Some((-0.125f64).to_bits()));
-        assert_eq!(cur.str(), Some("naïve"));
-        assert!(cur.at_end());
-        assert_eq!(cur.u8(), None, "reads past the end are None, not panics");
     }
 }

@@ -1,10 +1,10 @@
 //! Ingestion checkpoints: per-source resume cursors in front of an
 //! engine snapshot, plus the atomic on-disk write protocol.
 //!
-//! Current layout (`BCPDFLW2`, all integers little-endian):
+//! Layout (`BCPDFLW3`, all integers little-endian):
 //!
 //! ```text
-//! magic     8 bytes  b"BCPDFLW2"
+//! magic     8 bytes  b"BCPDFLW3"
 //! cursors   u32      count, then per cursor:
 //!   stream          u32 length + UTF-8 name
 //!   quarantined     u8    1 if the stream is out of service (stays so on resume)
@@ -17,37 +17,32 @@
 //! snapshot  …       stream::snapshot engine checkpoint (every stream)
 //! ```
 //!
-//! The predecessor format (`BCPDFLW1`) carried exactly one unnamed
-//! cursor — the CLI's single `follow` stream. It is still read:
-//! [`decode_checkpoint`] migrates it to one cursor named
-//! [`FOLLOW_STREAM`], so pre-multi-source `--state` files resume
-//! losslessly. The first checkpoint written afterwards uses the current
-//! format.
+//! Only `BCPDFLW3` loads. Files from earlier builds (`BCPDFLW1`,
+//! `BCPDFLW2`) are refused with [`StateError::BadVersion`] and left
+//! untouched.
 //!
-//! Everything parses through [`crate::snapshot::Reader`], inheriting
-//! its truncation-safe, allocation-guarded discipline, and the error
-//! taxonomy is unchanged from the original CLI loader: short files are
+//! Everything parses through [`crate::wire::Reader`], inheriting its
+//! truncation-safe, allocation-guarded discipline: short files are
 //! [`StateError::Truncated`] (never "foreign file"), and pending rows
 //! without a pending time are refused rather than silently dropped.
 
 use super::source::StreamCursor;
-use crate::snapshot::{Reader, SnapshotError, Writer};
+use crate::snapshot::SnapshotError;
+use crate::wire::{put_f64, put_i64, put_str, put_u32, put_u64, put_u8, Reader, WireError};
 use std::io::Write as _;
 use std::sync::Arc;
 
 // lint:fingerprint-begin(checkpoint-header)
-/// Magic bytes of the multi-source checkpoint format.
-pub const STATE_MAGIC: &[u8; 8] = b"BCPDFLW2";
-
-/// Magic bytes of the legacy single-source format (read + migrated).
-pub const LEGACY_STATE_MAGIC: &[u8; 8] = b"BCPDFLW1";
+/// Magic bytes of the checkpoint format; the trailing digit is its
+/// version.
+pub const STATE_MAGIC: &[u8; 8] = b"BCPDFLW3";
 
 /// Sentinel for "no time" in cursor fields.
 pub const NO_TIME: i64 = i64::MIN;
 // lint:fingerprint-end(checkpoint-header)
 
 /// Name under which the CLI `follow` stream lives in the engine
-/// snapshot — and the cursor name a legacy checkpoint migrates to.
+/// snapshot and the cursor table.
 pub const FOLLOW_STREAM: &str = "cli-follow";
 
 /// Checkpoint parse/validation failures, with truncation, wrong file
@@ -59,6 +54,9 @@ pub enum StateError {
     Truncated,
     /// The magic bytes are wrong: this is not a follow/serve checkpoint.
     BadMagic,
+    /// A checkpoint of another format version (the magic's trailing
+    /// digit), written by an earlier or later build.
+    BadVersion(u32),
     /// Structurally invalid header content (reason attached).
     Corrupt(String),
     /// The embedded engine snapshot failed to parse or validate.
@@ -72,6 +70,11 @@ impl std::fmt::Display for StateError {
                 write!(f, "truncated checkpoint (file ends before its structure)")
             }
             StateError::BadMagic => write!(f, "not a bags-cpd follow checkpoint"),
+            StateError::BadVersion(v) => write!(
+                f,
+                "unsupported checkpoint version {v} (this build reads {})",
+                String::from_utf8_lossy(STATE_MAGIC)
+            ),
             StateError::Corrupt(why) => write!(f, "corrupt checkpoint: {why}"),
             StateError::Snapshot(e) => write!(f, "checkpoint snapshot: {e}"),
         }
@@ -79,6 +82,15 @@ impl std::fmt::Display for StateError {
 }
 
 impl std::error::Error for StateError {}
+
+impl From<WireError> for StateError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated => StateError::Truncated,
+            WireError::BadUtf8 => StateError::Corrupt(e.to_string()),
+        }
+    }
+}
 
 impl From<SnapshotError> for StateError {
     fn from(e: SnapshotError) -> Self {
@@ -92,57 +104,46 @@ impl From<SnapshotError> for StateError {
 
 // lint:fingerprint-begin(cursor-layout)
 // Everything from here to the matching end marker defines the on-disk
-// byte layout of BCPDFLW2 checkpoints. Changing it requires a new magic
+// byte layout of BCPDFLW3 checkpoints. Changing it requires a new magic
 // (the framing's version field), then re-blessing
 // checkpoint.rs.fingerprint via
 // `cargo run -p lint -- check --update-fingerprints`.
-fn put_cursor(w: &mut Writer, cursor: &StreamCursor) {
-    w.u8(u8::from(cursor.quarantined));
-    w.i64(cursor.completed_time.unwrap_or(NO_TIME));
+fn put_cursor(w: &mut Vec<u8>, cursor: &StreamCursor) {
+    put_u8(w, u8::from(cursor.quarantined));
+    put_i64(w, cursor.completed_time.unwrap_or(NO_TIME));
     match &cursor.pending {
         Some((t, rows)) if !rows.is_empty() => {
-            w.i64(*t);
-            w.u64(cursor.consumed);
-            w.u64(cursor.prefix_hash);
-            w.u32(rows[0].len() as u32);
-            w.u32(rows.len() as u32);
+            put_i64(w, *t);
+            put_u64(w, cursor.consumed);
+            put_u64(w, cursor.prefix_hash);
+            put_u32(w, rows[0].len() as u32);
+            put_u32(w, rows.len() as u32);
             for row in rows {
                 for &x in row {
-                    w.f64(x);
+                    put_f64(w, x);
                 }
             }
         }
         _ => {
-            w.i64(NO_TIME);
-            w.u64(cursor.consumed);
-            w.u64(cursor.prefix_hash);
-            w.u32(0);
-            w.u32(0);
+            put_i64(w, NO_TIME);
+            put_u64(w, cursor.consumed);
+            put_u64(w, cursor.prefix_hash);
+            put_u32(w, 0);
+            put_u32(w, 0);
         }
     }
 }
 
-/// Read the flag-less v1 cursor body (shared tail with the current
-/// layout).
-fn read_legacy_cursor(r: &mut Reader<'_>) -> Result<StreamCursor, StateError> {
-    read_cursor_fields(r, false)
-}
-
 fn read_cursor(r: &mut Reader<'_>) -> Result<StreamCursor, StateError> {
-    let quarantined = match r.take(1).map_err(StateError::from)? {
-        [0] => false,
-        [1] => true,
+    let quarantined = match r.u8()? {
+        0 => false,
+        1 => true,
         other => {
             return Err(StateError::Corrupt(format!(
-                "invalid quarantine flag {}",
-                other[0]
+                "invalid quarantine flag {other}"
             )))
         }
     };
-    read_cursor_fields(r, quarantined)
-}
-
-fn read_cursor_fields(r: &mut Reader<'_>, quarantined: bool) -> Result<StreamCursor, StateError> {
     let completed_time = r.i64()?;
     let completed_time = (completed_time != NO_TIME).then_some(completed_time);
     let pending_time = r.i64()?;
@@ -181,93 +182,51 @@ fn read_cursor_fields(r: &mut Reader<'_>, quarantined: bool) -> Result<StreamCur
 /// Serialize a checkpoint: the per-stream resume cursors, then the
 /// engine snapshot bytes.
 pub fn encode_checkpoint<S: AsRef<str>>(cursors: &[(S, StreamCursor)], snapshot: &[u8]) -> Vec<u8> {
-    let mut w = Writer::with_capacity(64 + cursors.len() * 64 + snapshot.len());
-    w.bytes(STATE_MAGIC);
-    w.u32(cursors.len() as u32);
+    let mut w = Vec::with_capacity(64 + cursors.len() * 64 + snapshot.len());
+    w.extend_from_slice(STATE_MAGIC);
+    put_u32(&mut w, cursors.len() as u32);
     for (name, cursor) in cursors {
-        w.str(name.as_ref());
+        put_str(&mut w, name.as_ref());
         put_cursor(&mut w, cursor);
     }
-    w.bytes(snapshot);
-    w.into_bytes()
-}
-
-/// Serialize a checkpoint in the retired single-source `BCPDFLW1`
-/// framing. Kept only so tests can fabricate legacy files against one
-/// authoritative description of the old layout; nothing in production
-/// writes it.
-#[doc(hidden)]
-pub fn encode_checkpoint_v1(cursor: &StreamCursor, snapshot: &[u8]) -> Vec<u8> {
-    let mut w = Writer::with_capacity(64 + snapshot.len());
-    w.bytes(LEGACY_STATE_MAGIC);
-    // The v1 layout had no quarantine flag: cursor fields only.
-    w.i64(cursor.completed_time.unwrap_or(NO_TIME));
-    match &cursor.pending {
-        Some((t, rows)) if !rows.is_empty() => {
-            w.i64(*t);
-            w.u64(cursor.consumed);
-            w.u64(cursor.prefix_hash);
-            w.u32(rows[0].len() as u32);
-            w.u32(rows.len() as u32);
-            for row in rows {
-                for &x in row {
-                    w.f64(x);
-                }
-            }
-        }
-        _ => {
-            w.i64(NO_TIME);
-            w.u64(cursor.consumed);
-            w.u64(cursor.prefix_hash);
-            w.u32(0);
-            w.u32(0);
-        }
-    }
-    w.bytes(snapshot);
-    w.into_bytes()
+    w.extend_from_slice(snapshot);
+    w
 }
 
 /// Parse a checkpoint into its cursor table and the borrowed engine
 /// snapshot bytes (decode those with [`crate::snapshot::decode_engine`]
 /// or [`crate::StreamEngine::restore`]).
 ///
-/// A legacy `BCPDFLW1` file decodes to one cursor named
-/// [`FOLLOW_STREAM`].
-///
 /// # Errors
 /// [`StateError::Truncated`] for a short file, [`StateError::BadMagic`]
-/// for a foreign file, or [`StateError::Corrupt`] for inconsistent
+/// for a foreign file, [`StateError::BadVersion`] for a checkpoint of
+/// another format version, or [`StateError::Corrupt`] for inconsistent
 /// cursor content (including pending rows without a pending time, which
 /// are refused rather than dropped).
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<(NamedCursors, &[u8]), StateError> {
     let mut r = Reader::new(bytes);
-    let magic = r.take(8).map_err(|_| StateError::Truncated)?;
-    if magic == LEGACY_STATE_MAGIC {
-        let mut cursor = read_legacy_cursor(&mut r)?;
-        cursor.quarantined = false; // the flag postdates the v1 layout
-        return Ok((vec![(FOLLOW_STREAM.to_string(), cursor)], r.rest()));
-    }
+    let magic = r.take(8)?;
     if magic != STATE_MAGIC {
-        return Err(StateError::BadMagic);
+        return Err(match magic.strip_prefix(&STATE_MAGIC[..7]) {
+            Some([digit @ b'0'..=b'9']) => StateError::BadVersion(u32::from(digit - b'0')),
+            _ => StateError::BadMagic,
+        });
     }
     let count = r.u32()? as usize;
-    // Each cursor occupies at least 4 (name length) + 40 (fixed fields).
-    let mut cursors = Vec::with_capacity(r.bounded_capacity(count, 44));
+    // Each cursor occupies at least 4 (name length) + 41 (fixed fields).
+    let mut cursors = Vec::with_capacity(r.bounded_capacity(count, 45));
     for _ in 0..count {
-        let name = r.str().map_err(|e| match e {
-            SnapshotError::Truncated => StateError::Truncated,
-            other => StateError::Corrupt(other.to_string()),
-        })?;
+        let name = r.str()?;
         if name.is_empty() {
             return Err(StateError::Corrupt("empty stream name in a cursor".into()));
         }
-        if cursors.iter().any(|(n, _)| *n == name) {
+        if cursors.iter().any(|(n, _)| n == name) {
             return Err(StateError::Corrupt(format!(
                 "duplicate cursor for stream '{name}'"
             )));
         }
         let cursor = read_cursor(&mut r)?;
-        cursors.push((name, cursor));
+        cursors.push((name.to_owned(), cursor));
     }
     Ok((cursors, r.rest()))
 }
@@ -361,12 +320,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_migrates_to_follow_stream_cursor() {
-        let c = cursor(7); // odd t -> quarantined=false (v1 has no flag)
-        let bytes = encode_checkpoint_v1(&c, b"SNAP");
-        let (cursors, snap) = decode_checkpoint(&bytes).unwrap();
-        assert_eq!(cursors, vec![(FOLLOW_STREAM.to_string(), c)]);
-        assert_eq!(snap, b"SNAP");
+    fn earlier_format_versions_are_refused_by_version() {
+        let bytes = encode_checkpoint(&[("s".to_string(), cursor(1))], b"SNAP");
+        for (magic, version) in [(b"BCPDFLW1", 1), (b"BCPDFLW2", 2)] {
+            let mut old = bytes.clone();
+            old[..8].copy_from_slice(magic);
+            let err = decode_checkpoint(&old).unwrap_err();
+            assert_eq!(err, StateError::BadVersion(version));
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported checkpoint version {version}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -395,20 +361,19 @@ mod tests {
 
     #[test]
     fn pending_rows_without_time_are_refused() {
-        let mut w = Writer::new();
-        w.bytes(STATE_MAGIC);
-        w.u32(1);
-        w.str("s");
-        w.u8(0); // not quarantined
-        w.i64(4); // completed
-        w.i64(NO_TIME); // no pending time…
-        w.u64(0);
-        w.u64(0);
-        w.u32(1);
-        w.u32(2); // …but two pending rows
-        w.f64(0.5);
-        w.f64(1.5);
-        match decode_checkpoint(&w.into_bytes()) {
+        let mut w = STATE_MAGIC.to_vec();
+        put_u32(&mut w, 1);
+        put_str(&mut w, "s");
+        put_u8(&mut w, 0); // not quarantined
+        put_i64(&mut w, 4); // completed
+        put_i64(&mut w, NO_TIME); // no pending time…
+        put_u64(&mut w, 0);
+        put_u64(&mut w, 0);
+        put_u32(&mut w, 1);
+        put_u32(&mut w, 2); // …but two pending rows
+        put_f64(&mut w, 0.5);
+        put_f64(&mut w, 1.5);
+        match decode_checkpoint(&w) {
             Err(StateError::Corrupt(why)) => {
                 assert!(why.contains("pending rows"), "{why}")
             }

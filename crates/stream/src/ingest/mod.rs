@@ -20,8 +20,8 @@
 //!   process, and persists periodic checkpoints under a
 //!   [`CheckpointPolicy`].
 //! - [`checkpoint`] — the `cursors + engine snapshot` state format
-//!   (current `BCPDFLW2`, legacy single-source `BCPDFLW1` read and
-//!   migrated) with atomic rename+fsync persistence.
+//!   (`BCPDFLW3`; files of earlier versions are refused, not migrated)
+//!   with atomic rename+fsync persistence.
 
 pub mod checkpoint;
 pub mod csv;

@@ -23,7 +23,8 @@
 //!   scratch instead of per-point buffers.
 //! - [`snapshot`] — a versioned binary checkpoint format storing every
 //!   stream's state; restoring yields outputs bit-identical to an
-//!   engine that never stopped.
+//!   engine that never stopped. It, the ingestion checkpoint and the
+//!   score log share one primitive byte codec, [`wire`].
 //! - [`ingest`] — [`Source`]s (CSV files, directories, pipes, TCP,
 //!   memory) multiplexed into the engine by the [`Mux`], with
 //!   per-stream resume cursors and quarantine isolation.
@@ -84,12 +85,11 @@ pub mod sink;
 pub mod snapshot;
 pub mod telemetry;
 pub mod testkit;
+pub mod wire;
 mod worker;
 
 pub use cache::{EmdScratch, SignatureWindow};
 pub use engine::{EngineConfig, EngineError, StreamEngine, StreamId};
-#[allow(deprecated)]
-pub use event::StreamEvent;
 pub use event::{DiffOutcome, Event, QuarantineRecord};
 pub use ingest::{CheckpointPolicy, Mux, MuxConfig, Source, SourceStatus};
 pub use online::{OnlineDetector, OnlineState};

@@ -11,11 +11,14 @@
 //! never orphan an id).
 //!
 //! The [`Encoder`]/[`Decoder`] pair below is the only code that knows
-//! this layout; the sink, reader, store, and differ all go through it.
+//! this layout, and the only `Event` codec in the runtime: the sink,
+//! reader, store, differ, and the degraded-mode spill log
+//! ([`crate::sink::SpillLog`]) all go through it. Primitives come from
+//! [`crate::wire`].
 
 use crate::event::{DiffOutcome, Event, QuarantineRecord};
-use crate::framed::wire;
 use crate::ingest::source::SourceError;
+use crate::wire::{self, Reader};
 use bagcpd::{ConfidenceInterval, ScorePoint};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -242,7 +245,7 @@ impl Decoder {
     pub fn decode_into(&mut self, payload: &[u8], out: &mut Vec<Event>) -> bool {
         let out_mark = out.len();
         let names_mark = self.names.len();
-        if self.try_decode(payload, out) {
+        if self.try_decode(payload, out).is_ok() {
             true
         } else {
             out.truncate(out_mark);
@@ -251,55 +254,55 @@ impl Decoder {
         }
     }
 
-    fn try_decode(&mut self, payload: &[u8], out: &mut Vec<Event>) -> bool {
-        let mut cur = wire::Cursor::new(payload);
-        let Some(count) = cur.u32() else { return false };
-        let mut seen = 0u32;
-        while seen < count {
-            let Some(records) = self.decode_record(&mut cur, out) else {
-                return false;
-            };
-            seen += records;
+    fn try_decode(&mut self, payload: &[u8], out: &mut Vec<Event>) -> Result<(), Malformed> {
+        let mut r = Reader::new(payload);
+        let count = r.u32()?;
+        for _ in 0..count {
+            self.decode_record(&mut r, out)?;
         }
-        seen == count && cur.at_end()
+        if r.finished() {
+            Ok(())
+        } else {
+            Err(Malformed)
+        }
     }
 
     /// Resolve a stream id against the table.
-    fn name(&self, id: u32) -> Option<Arc<str>> {
-        self.names.get(id as usize).cloned()
+    fn name(&self, id: u32) -> Result<Arc<str>, Malformed> {
+        self.names.get(id as usize).cloned().ok_or(Malformed)
     }
 
-    /// Decode one record; `Some(1)` normally (every record counts one,
-    /// including `DefineStream`), `None` on malformed input.
-    fn decode_record(&mut self, cur: &mut wire::Cursor<'_>, out: &mut Vec<Event>) -> Option<u32> {
-        match cur.u8()? {
+    /// Decode one record (a `DefineStream` updates the table and emits
+    /// nothing).
+    fn decode_record(&mut self, r: &mut Reader<'_>, out: &mut Vec<Event>) -> Result<(), Malformed> {
+        match r.u8()? {
             TAG_DEFINE_STREAM => {
-                let id = cur.u32()? as usize;
-                let name = cur.str()?;
+                let id = r.u32()? as usize;
+                let name = r.str()?;
                 if id == self.names.len() {
                     self.names.push(Arc::from(name));
                 } else if self.names.get(id).map(|n| &**n) != Some(name) {
                     // Out-of-order definition, or a redefinition that
                     // disagrees with the table: malformed.
-                    return None;
+                    return Err(Malformed);
                 }
-                Some(1)
+                Ok(())
             }
             TAG_POINT => {
-                let stream = self.name(cur.u32()?)?;
-                let t = cur.u64()? as usize;
-                let score = cur.f64()?;
-                let lo = cur.f64()?;
-                let up = cur.f64()?;
-                let xi = match cur.u8()? {
+                let stream = self.name(r.u32()?)?;
+                let t = r.u64()? as usize;
+                let score = r.f64()?;
+                let lo = r.f64()?;
+                let up = r.f64()?;
+                let xi = match r.u8()? {
                     0 => None,
-                    1 => Some(cur.f64()?),
-                    _ => return None,
+                    1 => Some(r.f64()?),
+                    _ => return Err(Malformed),
                 };
-                let alert = match cur.u8()? {
+                let alert = match r.u8()? {
                     0 => false,
                     1 => true,
-                    _ => return None,
+                    _ => return Err(Malformed),
                 };
                 out.push(Event::Point {
                     stream,
@@ -311,69 +314,79 @@ impl Decoder {
                         alert,
                     },
                 });
-                Some(1)
+                Ok(())
             }
             TAG_STREAM_ERROR => {
-                let stream = self.name(cur.u32()?)?;
+                let stream = self.name(r.u32()?)?;
                 out.push(Event::StreamError {
                     stream,
-                    message: cur.str()?.to_string(),
+                    message: r.str()?.to_owned(),
                 });
-                Some(1)
+                Ok(())
             }
             TAG_QUARANTINE => {
-                let stream = self.name(cur.u32()?)?;
-                let error = match cur.u8()? {
-                    0 => SourceError::Io(cur.str()?.to_string()),
-                    1 => SourceError::Data(cur.str()?.to_string()),
-                    _ => return None,
+                let stream = self.name(r.u32()?)?;
+                let error = match r.u8()? {
+                    0 => SourceError::Io(r.str()?.to_owned()),
+                    1 => SourceError::Data(r.str()?.to_owned()),
+                    _ => return Err(Malformed),
                 };
                 out.push(Event::Quarantine(QuarantineRecord { stream, error }));
-                Some(1)
+                Ok(())
             }
             TAG_NOTE => {
-                out.push(Event::Note(cur.str()?.to_string()));
-                Some(1)
+                out.push(Event::Note(r.str()?.to_owned()));
+                Ok(())
             }
             TAG_CHECKPOINT => {
                 out.push(Event::CheckpointWritten {
-                    bytes: cur.u64()? as usize,
-                    bags: cur.u64()?,
+                    bytes: r.u64()? as usize,
+                    bags: r.u64()?,
                 });
-                Some(1)
+                Ok(())
             }
             TAG_DEGRADED => {
                 out.push(Event::Degraded {
-                    sink: cur.str()?.to_string(),
-                    reason: cur.str()?.to_string(),
+                    sink: r.str()?.to_owned(),
+                    reason: r.str()?.to_owned(),
                 });
-                Some(1)
+                Ok(())
             }
             TAG_RECOVERED => {
                 out.push(Event::Recovered {
-                    sink: cur.str()?.to_string(),
-                    replayed: cur.u64()?,
+                    sink: r.str()?.to_owned(),
+                    replayed: r.u64()?,
                 });
-                Some(1)
+                Ok(())
             }
             TAG_REPLAY_DIFF => {
-                let stream = self.name(cur.u32()?)?;
+                let stream = self.name(r.u32()?)?;
                 out.push(Event::ReplayDiff {
                     stream,
-                    t: cur.u64()? as usize,
-                    live: cur.f64()?,
-                    recorded: cur.f64()?,
-                    outcome: match cur.u8()? {
+                    t: r.u64()? as usize,
+                    live: r.f64()?,
+                    recorded: r.f64()?,
+                    outcome: match r.u8()? {
                         0 => DiffOutcome::Equal,
                         1 => DiffOutcome::WithinEps,
                         2 => DiffOutcome::Diverged,
-                        _ => return None,
+                        _ => return Err(Malformed),
                     },
                 });
-                Some(1)
+                Ok(())
             }
-            _ => None,
+            _ => Err(Malformed),
         }
+    }
+}
+
+/// A frame payload that does not decode: truncated, not UTF-8, an
+/// unknown tag or flag, an undefined stream id, or trailing bytes.
+struct Malformed;
+
+impl From<wire::WireError> for Malformed {
+    fn from(_: wire::WireError) -> Self {
+        Malformed
     }
 }
 

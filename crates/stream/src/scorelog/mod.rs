@@ -25,7 +25,9 @@
 //!
 //! On-disk format: [`crate::framed`] framing (magic `BCPDSLG1`,
 //! length- and checksum-guarded frames, torn tails truncated on
-//! reopen) with the record layout in [`mod@format`]. A log that lived
+//! reopen) with the record layout in [`mod@format`]. Degraded-mode
+//! spill files ([`crate::sink::SpillLog`]) are score logs too, so
+//! every reader here (`query` included) reads them. A log that lived
 //! through `kill -9` + resume may hold duplicate `(stream, t)` records
 //! — bit-identical by construction; every reader here dedups them.
 //!
@@ -41,5 +43,6 @@ mod store;
 
 pub use diff::{DiffSummary, DiffTracker, ReplayDiffSink};
 pub use reader::ScoreLogReader;
+pub(crate) use sink::EventLog;
 pub use sink::ScoreLogSink;
 pub use store::{Query, QueryRow, ScoreStore, StreamSummary};

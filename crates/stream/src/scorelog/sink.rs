@@ -1,4 +1,5 @@
-//! Recording side: a [`Sink`] that appends every event to a score log.
+//! Recording side: a [`Sink`] that appends every event to a score log,
+//! and the open-log handle it shares with [`crate::sink::SpillLog`].
 
 use super::format::{Decoder, Encoder, MAGIC};
 use crate::event::Event;
@@ -23,11 +24,7 @@ use std::path::Path;
 /// bit-identical by the determinism guarantee; readers
 /// ([`super::ScoreStore`], [`super::ReplayDiffSink`]) dedup on id.
 pub struct ScoreLogSink {
-    log: FramedLog,
-    enc: Encoder,
-    buf: Vec<u8>,
-    /// Events recorded over the log's lifetime (survives reopen).
-    events: u64,
+    log: EventLog,
     metrics: Option<Metrics>,
 }
 
@@ -44,23 +41,8 @@ impl ScoreLogSink {
     /// # Errors
     /// I/O failure, or an existing file that is not a score log.
     pub fn open(path: &Path) -> io::Result<ScoreLogSink> {
-        let mut dec = Decoder::new();
-        let mut events = 0u64;
-        let mut scratch = Vec::new();
-        let log = FramedLog::open(path, MAGIC, "score log", &mut |payload| {
-            if dec.decode_into(payload, &mut scratch) {
-                events += scratch.len() as u64;
-                scratch.clear();
-                true
-            } else {
-                false
-            }
-        })?;
         Ok(ScoreLogSink {
-            log,
-            enc: Encoder::restore(dec.names()),
-            buf: Vec::new(),
-            events,
+            log: EventLog::open(path, "score log")?,
             metrics: None,
         })
     }
@@ -82,26 +64,18 @@ impl ScoreLogSink {
     /// Events recorded over the log's lifetime, including any found on
     /// disk when the log was reopened.
     pub fn events(&self) -> u64 {
-        self.events
+        self.log.events()
     }
 
     /// Whether the log holds no events.
     pub fn is_empty(&self) -> bool {
-        self.events == 0
+        self.log.events() == 0
     }
 }
 
 impl Sink for ScoreLogSink {
     fn deliver(&mut self, events: &[Event]) -> io::Result<()> {
-        if events.is_empty() {
-            return Ok(());
-        }
-        let mut buf = std::mem::take(&mut self.buf);
-        self.enc.encode_batch(events, &mut buf);
-        let written = self.log.append(&buf);
-        self.buf = buf;
-        let written = written?;
-        self.events += events.len() as u64;
+        let written = self.log.append(events)?;
         if let Some(m) = &self.metrics {
             m.records.add(events.len() as u64);
             m.bytes.add(written);
@@ -115,6 +89,112 @@ impl Sink for ScoreLogSink {
 
     fn kind(&self) -> &'static str {
         "scorelog"
+    }
+}
+
+/// An open, appendable score log: the framed file, an encoder whose
+/// intern table continues the one on disk, and the count of events the
+/// file holds. [`ScoreLogSink`] and [`crate::sink::SpillLog`] are both
+/// thin owners of one.
+pub(crate) struct EventLog {
+    log: FramedLog,
+    enc: Encoder,
+    buf: Vec<u8>,
+    events: u64,
+}
+
+impl EventLog {
+    /// Open (or create) the log at `path`: scan the existing frames to
+    /// count their events and restore the intern table, truncating a
+    /// torn tail. `label` names the log type in errors.
+    ///
+    /// # Errors
+    /// I/O failure, or an existing file that is not a score log.
+    pub(crate) fn open(path: &Path, label: &str) -> io::Result<EventLog> {
+        let mut dec = Decoder::new();
+        let mut events = 0u64;
+        let mut scratch = Vec::new();
+        let log = FramedLog::open(path, MAGIC, label, &mut |payload| {
+            if dec.decode_into(payload, &mut scratch) {
+                events += scratch.len() as u64;
+                scratch.clear();
+                true
+            } else {
+                false
+            }
+        })?;
+        Ok(EventLog {
+            log,
+            enc: Encoder::restore(dec.names()),
+            buf: Vec::new(),
+            events,
+        })
+    }
+
+    /// Where this log lives.
+    pub(crate) fn path(&self) -> &Path {
+        self.log.path()
+    }
+
+    /// Events on disk or pending [`EventLog::sync`].
+    pub(crate) fn events(&self) -> u64 {
+        self.events
+    }
+
+    /// Append `events` as one frame (none for an empty batch); returns
+    /// the bytes written (frame header included).
+    ///
+    /// # Errors
+    /// I/O failure, or a batch larger than the maximum frame.
+    pub(crate) fn append(&mut self, events: &[Event]) -> io::Result<u64> {
+        if events.is_empty() {
+            return Ok(0);
+        }
+        self.enc.encode_batch(events, &mut self.buf);
+        let written = self.log.append(&self.buf)?;
+        self.events += events.len() as u64;
+        Ok(written)
+    }
+
+    /// Make every appended frame durable (`fsync`).
+    ///
+    /// # Errors
+    /// I/O failure.
+    pub(crate) fn sync(&mut self) -> io::Result<()> {
+        self.log.sync()
+    }
+
+    /// Every event in the log, in append order.
+    ///
+    /// # Errors
+    /// I/O failure, or a checksum-valid frame that does not decode.
+    pub(crate) fn read_all(&mut self) -> io::Result<Vec<Event>> {
+        let mut dec = Decoder::new();
+        let mut out = Vec::new();
+        let path = self.log.path().to_path_buf();
+        self.log.scan(&mut |payload| {
+            if dec.decode_into(payload, &mut out) {
+                Ok(())
+            } else {
+                Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("undecodable frame in {}", path.display()),
+                ))
+            }
+        })?;
+        Ok(out)
+    }
+
+    /// Drop every frame and start a fresh intern table: the next frame
+    /// re-defines every stream it mentions.
+    ///
+    /// # Errors
+    /// I/O failure.
+    pub(crate) fn clear(&mut self) -> io::Result<()> {
+        self.log.clear()?;
+        self.enc = Encoder::new();
+        self.events = 0;
+        Ok(())
     }
 }
 

@@ -2,9 +2,11 @@
 //! egress.
 //!
 //! When a sink exhausts its delivery attempts, the pipeline stops
-//! handing it batches and appends them here instead. The on-disk shape
-//! is the shared framed-log core ([`crate::framed`]) — an 8-byte magic
-//! followed by length-prefixed, FNV-checksummed frames — so:
+//! handing it batches and appends them here instead. A spill file is a
+//! score log of events not yet delivered: the same magic (`BCPDSLG1`),
+//! framing ([`crate::framed`]) and record codec
+//! ([`crate::scorelog::format`]) as `--score-log`, so `query` and every
+//! other score-log reader open it. Hence:
 //!
 //! - appends are crash-safe: a `kill -9` mid-append leaves a torn final
 //!   frame, which [`SpillLog::open`] detects (bad length, bad checksum,
@@ -15,28 +17,18 @@
 //! - replay is in append order, so a recovered sink sees exactly the
 //!   event sequence a fault-free run would have delivered.
 //!
-//! Each frame payload is a count-prefixed batch of [`Event`]s in the
-//! wire encoding of [`crate::framed::wire`]: little-endian integers,
-//! f64 bit patterns, length-prefixed UTF-8. Stream names are spelled
-//! out per event — a spill log holds one sink's short backlog, so the
-//! interning the score log does ([`crate::scorelog`]) would buy
-//! nothing here.
+//! A file in any other format (including spills written in the retired
+//! `BCPDSPL1` codec) is refused on open and left untouched.
 
-use crate::event::{DiffOutcome, Event, QuarantineRecord};
-use crate::framed::{wire, FramedLog};
-use crate::ingest::source::SourceError;
-use bagcpd::{ConfidenceInterval, ScorePoint};
+use crate::event::Event;
+use crate::scorelog::EventLog;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
-
-const MAGIC: &[u8; 8] = b"BCPDSPL1";
 
 /// A durable append-only log of [`Event`]s. See the module docs for
 /// format and crash-safety properties.
 pub struct SpillLog {
-    log: FramedLog,
-    events: u64,
+    log: EventLog,
 }
 
 impl SpillLog {
@@ -44,23 +36,12 @@ impl SpillLog {
     /// truncating a torn tail left by a crash mid-append.
     ///
     /// # Errors
-    /// I/O failure, or an existing file whose magic is not a spill log
+    /// I/O failure, or an existing file whose magic is not a score log
     /// (refusing to truncate a file this module does not own).
     pub fn open(path: &Path) -> io::Result<SpillLog> {
-        let mut events = 0u64;
-        let log = FramedLog::open(
-            path,
-            MAGIC,
-            "spill log",
-            &mut |payload| match decode_events(payload) {
-                Some(count) => {
-                    events += count;
-                    true
-                }
-                None => false,
-            },
-        )?;
-        Ok(SpillLog { log, events })
+        Ok(SpillLog {
+            log: EventLog::open(path, "spill log")?,
+        })
     }
 
     /// Where this log lives.
@@ -70,12 +51,12 @@ impl SpillLog {
 
     /// Events recorded (durable or pending [`SpillLog::sync`]).
     pub fn len(&self) -> u64 {
-        self.events
+        self.log.events()
     }
 
     /// Whether the log holds no events.
     pub fn is_empty(&self) -> bool {
-        self.events == 0
+        self.log.events() == 0
     }
 
     /// Append a batch of events as one frame. Durable only after
@@ -85,16 +66,9 @@ impl SpillLog {
     /// I/O failure; the frame may be torn on disk, which the next
     /// [`SpillLog::open`] truncates away.
     pub fn append(&mut self, events: &[Event]) -> io::Result<()> {
-        if events.is_empty() {
-            return Ok(());
-        }
-        let mut payload = Vec::with_capacity(64 * events.len());
-        wire::put_u32(&mut payload, events.len() as u32);
-        for event in events {
-            encode_event(&mut payload, event);
-        }
         self.log
-            .append(&payload)
+            .append(events)
+            .map(|_| ())
             .map_err(|e| match e.kind() {
                 io::ErrorKind::InvalidInput => io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -102,9 +76,6 @@ impl SpillLog {
                 ),
                 _ => e,
             })
-            .map(|_| ())?;
-        self.events += events.len() as u64;
-        Ok(())
     }
 
     /// Make every appended frame durable (`fsync`).
@@ -124,216 +95,29 @@ impl SpillLog {
     /// well-formed; a frame that still fails to decode reports
     /// `InvalidData`.
     pub fn replay(&mut self) -> io::Result<Vec<Event>> {
-        let mut out = Vec::new();
-        let path = self.log.path().to_path_buf();
-        self.log.scan(&mut |payload| {
-            if decode_into(payload, &mut out) {
-                Ok(())
-            } else {
-                Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("undecodable frame in {}", path.display()),
-                ))
-            }
-        })?;
-        Ok(out)
+        self.log.read_all()
     }
 
     /// Drop every recorded event: truncate back to the magic and sync.
+    /// The stream-name intern table restarts with the file.
     ///
     /// # Errors
     /// I/O failure.
     pub fn clear(&mut self) -> io::Result<()> {
-        self.log.clear()?;
-        self.events = 0;
-        Ok(())
-    }
-}
-
-fn encode_event(buf: &mut Vec<u8>, event: &Event) {
-    match event {
-        Event::Point { stream, point } => {
-            buf.push(0);
-            wire::put_str(buf, stream);
-            wire::put_u64(buf, point.t as u64);
-            wire::put_f64(buf, point.score);
-            wire::put_f64(buf, point.ci.lo);
-            wire::put_f64(buf, point.ci.up);
-            match point.xi {
-                Some(xi) => {
-                    buf.push(1);
-                    wire::put_f64(buf, xi);
-                }
-                None => buf.push(0),
-            }
-            buf.push(u8::from(point.alert));
-        }
-        Event::StreamError { stream, message } => {
-            buf.push(1);
-            wire::put_str(buf, stream);
-            wire::put_str(buf, message);
-        }
-        Event::Quarantine(record) => {
-            buf.push(2);
-            wire::put_str(buf, &record.stream);
-            match &record.error {
-                SourceError::Io(m) => {
-                    buf.push(0);
-                    wire::put_str(buf, m);
-                }
-                SourceError::Data(m) => {
-                    buf.push(1);
-                    wire::put_str(buf, m);
-                }
-            }
-        }
-        Event::Note(text) => {
-            buf.push(3);
-            wire::put_str(buf, text);
-        }
-        Event::CheckpointWritten { bytes, bags } => {
-            buf.push(4);
-            wire::put_u64(buf, *bytes as u64);
-            wire::put_u64(buf, *bags);
-        }
-        Event::Degraded { sink, reason } => {
-            buf.push(5);
-            wire::put_str(buf, sink);
-            wire::put_str(buf, reason);
-        }
-        Event::Recovered { sink, replayed } => {
-            buf.push(6);
-            wire::put_str(buf, sink);
-            wire::put_u64(buf, *replayed);
-        }
-        Event::ReplayDiff {
-            stream,
-            t,
-            live,
-            recorded,
-            outcome,
-        } => {
-            buf.push(7);
-            wire::put_str(buf, stream);
-            wire::put_u64(buf, *t as u64);
-            wire::put_f64(buf, *live);
-            wire::put_f64(buf, *recorded);
-            buf.push(match outcome {
-                DiffOutcome::Equal => 0,
-                DiffOutcome::WithinEps => 1,
-                DiffOutcome::Diverged => 2,
-            });
-        }
-    }
-}
-
-/// Count the events a payload holds without materializing them (used by
-/// the `open` scan). `None` on any malformed byte.
-fn decode_events(payload: &[u8]) -> Option<u64> {
-    let mut scratch = Vec::new();
-    if decode_into(payload, &mut scratch) {
-        Some(scratch.len() as u64)
-    } else {
-        None
-    }
-}
-
-/// Decode one frame payload (count-prefixed events) into `out`; false
-/// on any malformed byte, in which case `out` is left as it was.
-fn decode_into(payload: &[u8], out: &mut Vec<Event>) -> bool {
-    let mut cur = wire::Cursor::new(payload);
-    let Some(count) = cur.u32() else { return false };
-    let mark = out.len();
-    for _ in 0..count {
-        let Some(event) = decode_event(&mut cur) else {
-            out.truncate(mark);
-            return false;
-        };
-        out.push(event);
-    }
-    if !cur.at_end() {
-        out.truncate(mark);
-        return false;
-    }
-    true
-}
-
-fn decode_event(cur: &mut wire::Cursor<'_>) -> Option<Event> {
-    match cur.u8()? {
-        0 => {
-            let stream: Arc<str> = Arc::from(cur.str()?);
-            let t = cur.u64()? as usize;
-            let score = cur.f64()?;
-            let lo = cur.f64()?;
-            let up = cur.f64()?;
-            let xi = match cur.u8()? {
-                0 => None,
-                1 => Some(cur.f64()?),
-                _ => return None,
-            };
-            let alert = match cur.u8()? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            Some(Event::Point {
-                stream,
-                point: ScorePoint {
-                    t,
-                    score,
-                    ci: ConfidenceInterval { lo, up },
-                    xi,
-                    alert,
-                },
-            })
-        }
-        1 => Some(Event::StreamError {
-            stream: Arc::from(cur.str()?),
-            message: cur.str()?.to_string(),
-        }),
-        2 => {
-            let stream: Arc<str> = Arc::from(cur.str()?);
-            let error = match cur.u8()? {
-                0 => SourceError::Io(cur.str()?.to_string()),
-                1 => SourceError::Data(cur.str()?.to_string()),
-                _ => return None,
-            };
-            Some(Event::Quarantine(QuarantineRecord { stream, error }))
-        }
-        3 => Some(Event::Note(cur.str()?.to_string())),
-        4 => Some(Event::CheckpointWritten {
-            bytes: cur.u64()? as usize,
-            bags: cur.u64()?,
-        }),
-        5 => Some(Event::Degraded {
-            sink: cur.str()?.to_string(),
-            reason: cur.str()?.to_string(),
-        }),
-        6 => Some(Event::Recovered {
-            sink: cur.str()?.to_string(),
-            replayed: cur.u64()?,
-        }),
-        7 => Some(Event::ReplayDiff {
-            stream: Arc::from(cur.str()?),
-            t: cur.u64()? as usize,
-            live: cur.f64()?,
-            recorded: cur.f64()?,
-            outcome: match cur.u8()? {
-                0 => DiffOutcome::Equal,
-                1 => DiffOutcome::WithinEps,
-                2 => DiffOutcome::Diverged,
-                _ => return None,
-            },
-        }),
-        _ => None,
+        self.log.clear()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{DiffOutcome, QuarantineRecord};
+    use crate::ingest::source::SourceError;
+    use crate::scorelog::{Query, ScoreStore};
+    use bagcpd::{ConfidenceInterval, ScorePoint};
     use std::fs::OpenOptions;
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn point(stream: &str, t: usize) -> Event {
         Event::Point {
@@ -453,6 +237,50 @@ mod tests {
         assert!(log.replay().unwrap().is_empty());
         log.append(&[Event::Note("fresh".into())]).unwrap();
         assert_eq!(log.len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn clear_restarts_the_intern_table() {
+        // After a clear the file holds only what follows it, so the
+        // next frame must re-define its streams: a reopen then decodes
+        // exactly the post-clear events.
+        let dir = tempdir();
+        let path = dir.join("reuse.spill");
+        {
+            let mut log = SpillLog::open(&path).unwrap();
+            log.append(&[point("a", 0), point("b", 1)]).unwrap();
+            log.clear().unwrap();
+            log.append(&[point("b", 2), point("a", 3)]).unwrap();
+            log.sync().unwrap();
+        }
+        let mut log = SpillLog::open(&path).unwrap();
+        assert_eq!(log.len(), 2);
+        assert_eq!(log.replay().unwrap(), vec![point("b", 2), point("a", 3)]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn score_store_reads_a_spill_file() {
+        let dir = tempdir();
+        let path = dir.join("query.spill");
+        {
+            let mut log = SpillLog::open(&path).unwrap();
+            log.append(&sample_events()).unwrap();
+            log.append(&[point("a", 3)]).unwrap();
+            log.sync().unwrap();
+        }
+        let store = ScoreStore::scan(&path).unwrap();
+        let streams: Vec<&str> = store.streams().map(|(name, _)| name.as_ref()).collect();
+        assert_eq!(streams, vec!["a", "b"]);
+        let rows = store
+            .query(&Query {
+                stream: Some("a".into()),
+                ..Default::default()
+            })
+            .unwrap();
+        let ts: Vec<usize> = rows.iter().map(|row| row.point.t).collect();
+        assert_eq!(ts, vec![0, 3]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,7 +1,5 @@
-//! Binary snapshot format for engine checkpoint/restore, plus the
-//! [`Reader`]/[`Writer`] primitives it is built on (public, so other
-//! checkpoint wrappers — the CLI's `--state` header — share one error
-//! discipline instead of hand-rolling byte parsing).
+//! Binary snapshot format for engine checkpoint/restore, encoded with
+//! the shared primitives of [`crate::wire`].
 //!
 //! Layout (all integers little-endian, floats as IEEE-754 bit patterns):
 //!
@@ -14,33 +12,28 @@
 //!   name       u32 length + UTF-8 bytes
 //! streams  u64      count, then per stream (ascending id):
 //!   id         u32 index into the intern table
-//!   state      OnlineState (see encode_state)
+//!   state      OnlineState (see put_state): seed, pushed, emitted,
+//!              dim, the retained signatures, the flattened
+//!              n (n-1) / 2 forward distance rows (one u32 count plus
+//!              values), and the CI history
 //! ```
 //!
-//! Version 2 replaced the v1 name-keyed stream list with the engine's
-//! intern table plus id-keyed states: restoring rebuilds the table in
-//! the same order, so [`crate::StreamId`] handles obtained before a
-//! snapshot stay valid after a restore and a restore → snapshot round
-//! trip is byte-identical. Version 3 flattened each stream's cached
-//! distance rows into one contiguous buffer (matching the in-place
-//! window matrix of [`crate::SignatureWindow`]): a single `u32` count
-//! followed by the `n (n-1) / 2` forward-row values, instead of v2's
-//! per-row length prefixes. Version 2 snapshots are still read and
-//! migrated on load (the values are identical, only the framing
-//! changed); version 1 snapshots are refused with
-//! [`SnapshotError::BadVersion`]. Version 4 extended the config
-//! fingerprint with the tiered solver (tag 2 carries its epsilon and
-//! estimate parameters; exact mode shares tag 0 with the exact solver,
-//! making their snapshots interchangeable) — stream framing is
-//! unchanged, so versions 2 and 3 still read.
+//! Restoring rebuilds the intern table in the same order, so
+//! [`crate::StreamId`] handles obtained before a snapshot stay valid
+//! after a restore, and a restore → snapshot round trip is
+//! byte-identical. Only [`VERSION`] loads: any other version field is
+//! refused with [`SnapshotError::BadVersion`].
 //!
 //! The config fingerprint captures every parameter that affects results
 //! (windows, score, weighting, signature method, metric, solver,
 //! estimator constants, bootstrap); restore refuses a snapshot whose
 //! fingerprint differs from the engine's configuration rather than
-//! silently resuming with different semantics.
+//! silently resuming with different semantics. The tiered solver in
+//! exact mode shares tag 0 with the exact solver (their results are
+//! bit-identical), so their snapshots are interchangeable.
 
 use crate::online::OnlineState;
+use crate::wire::{put_f64, put_str, put_u32, put_u64, put_u8, Reader, WireError};
 use bagcpd::score::EmdSolver;
 use bagcpd::{DetectorConfig, GroundMetric, ScoreKind, SignatureMethod, Weighting};
 use emd::Signature;
@@ -48,10 +41,8 @@ use emd::Signature;
 // lint:fingerprint-begin(snapshot-header)
 /// Magic bytes opening every snapshot.
 pub const MAGIC: &[u8; 8] = b"BCPDSNAP";
-/// Current format version.
+/// Format version; the only one [`decode_engine`] reads.
 pub const VERSION: u32 = 4;
-/// Oldest version [`decode_engine`] still reads (migrating on load).
-pub const MIN_READ_VERSION: u32 = 2;
 // lint:fingerprint-end(snapshot-header)
 
 /// Snapshot parse/validation failures.
@@ -88,187 +79,12 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-// ---- primitive writer --------------------------------------------------
-
-/// Little-endian binary writer over a growable buffer — the encode-side
-/// counterpart of [`Reader`].
-#[derive(Debug, Clone, Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// Empty writer.
-    pub fn new() -> Self {
-        Writer::default()
-    }
-
-    /// Empty writer with a pre-reserved buffer.
-    pub fn with_capacity(n: usize) -> Self {
-        Writer {
-            buf: Vec::with_capacity(n),
+impl From<WireError> for SnapshotError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated => SnapshotError::Truncated,
+            WireError::BadUtf8 => SnapshotError::Corrupt(e.to_string()),
         }
-    }
-
-    /// Append raw bytes.
-    pub fn bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Append a byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append an `f64` as its IEEE-754 bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// Append a length-prefixed UTF-8 string (u32 length + bytes).
-    pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Consume the writer, returning the buffer.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-// ---- primitive reader --------------------------------------------------
-
-/// Cursor over a checkpoint buffer with truncation-safe reads: every
-/// accessor fails with [`SnapshotError::Truncated`] instead of panicking
-/// when the buffer ends early, and [`Reader::bounded_capacity`] caps
-/// pre-allocations so corrupt length fields cannot trigger huge
-/// reservations.
-#[derive(Debug)]
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Cursor at the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Consume the next `n` bytes.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Truncated`] if fewer than `n` bytes remain.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Consume everything left in the buffer (possibly empty).
-    pub fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-
-    /// Read a little-endian `u32`.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Truncated`].
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Read a little-endian `u64`.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Truncated`].
-    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Read a little-endian `i64`.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Truncated`].
-    pub fn i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Read an `f64` from its IEEE-754 bit pattern.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Truncated`].
-    pub fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Truncated`], or [`SnapshotError::Corrupt`] for
-    /// invalid UTF-8.
-    pub fn str(&mut self) -> Result<String, SnapshotError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| SnapshotError::Corrupt("string is not UTF-8".into()))
-    }
-
-    /// Whether the cursor has consumed the whole buffer.
-    pub fn finished(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Pre-allocation guard: never reserve more elements than the
-    /// remaining bytes could possibly encode (each element of every
-    /// decoded collection occupies at least `min_size` bytes), so a
-    /// corrupt length field cannot trigger a huge allocation before the
-    /// very next read fails with `Truncated`.
-    pub fn bounded_capacity(&self, declared: usize, min_size: usize) -> usize {
-        declared.min(self.remaining() / min_size.max(1))
     }
 }
 
@@ -276,92 +92,101 @@ impl<'a> Reader<'a> {
 
 // lint:fingerprint-begin(engine-layout)
 // Everything from here to the matching end marker defines the on-disk
-// byte layout. Changing it requires a VERSION bump (and a migration
-// path in read_state), then re-blessing snapshot.rs.fingerprint via
+// byte layout. Changing it requires a VERSION bump, then re-blessing
+// snapshot.rs.fingerprint via
 // `cargo run -p lint -- check --update-fingerprints`.
 /// Serialize every result-affecting configuration parameter.
-fn put_config(w: &mut Writer, cfg: &DetectorConfig) {
-    w.u64(cfg.tau as u64);
-    w.u64(cfg.tau_prime as u64);
-    w.u8(match cfg.score {
-        ScoreKind::LikelihoodRatio => 0,
-        ScoreKind::SymmetrizedKl => 1,
-    });
-    w.u8(match cfg.weighting {
-        Weighting::Equal => 0,
-        Weighting::Discounted => 1,
-    });
+fn put_config(w: &mut Vec<u8>, cfg: &DetectorConfig) {
+    put_u64(w, cfg.tau as u64);
+    put_u64(w, cfg.tau_prime as u64);
+    put_u8(
+        w,
+        match cfg.score {
+            ScoreKind::LikelihoodRatio => 0,
+            ScoreKind::SymmetrizedKl => 1,
+        },
+    );
+    put_u8(
+        w,
+        match cfg.weighting {
+            Weighting::Equal => 0,
+            Weighting::Discounted => 1,
+        },
+    );
     match &cfg.signature {
         SignatureMethod::KMeans { k } => {
-            w.u8(0);
-            w.u64(*k as u64);
+            put_u8(w, 0);
+            put_u64(w, *k as u64);
         }
         SignatureMethod::KMedoids { k } => {
-            w.u8(1);
-            w.u64(*k as u64);
+            put_u8(w, 1);
+            put_u64(w, *k as u64);
         }
         SignatureMethod::Lvq { k } => {
-            w.u8(2);
-            w.u64(*k as u64);
+            put_u8(w, 2);
+            put_u64(w, *k as u64);
         }
         SignatureMethod::Histogram { width } => {
-            w.u8(3);
-            w.f64(*width);
+            put_u8(w, 3);
+            put_f64(w, *width);
         }
     }
-    w.u8(match cfg.metric {
-        GroundMetric::Euclidean => 0,
-        GroundMetric::Manhattan => 1,
-        GroundMetric::Chebyshev => 2,
-    });
+    put_u8(
+        w,
+        match cfg.metric {
+            GroundMetric::Euclidean => 0,
+            GroundMetric::Manhattan => 1,
+            GroundMetric::Chebyshev => 2,
+        },
+    );
     match &cfg.solver {
-        EmdSolver::Exact => w.u8(0),
+        EmdSolver::Exact => put_u8(w, 0),
         EmdSolver::Sinkhorn(s) => {
-            w.u8(1);
-            w.f64(s.epsilon);
-            w.u64(s.max_iters as u64);
-            w.f64(s.tol);
+            put_u8(w, 1);
+            put_f64(w, s.epsilon);
+            put_u64(w, s.max_iters as u64);
+            put_f64(w, s.tol);
         }
         EmdSolver::Tiered(t) => match t.epsilon {
             // Exact mode is bit-identical to the exact solver, so its
             // fingerprint deliberately matches tag 0: snapshots are
             // interchangeable between the two configurations.
-            None => w.u8(0),
+            None => put_u8(w, 0),
             Some(eps) => {
-                w.u8(2);
-                w.f64(eps);
-                w.f64(t.estimate.epsilon);
-                w.u64(t.estimate.max_iters as u64);
-                w.f64(t.estimate.tol);
+                put_u8(w, 2);
+                put_f64(w, eps);
+                put_f64(w, t.estimate.epsilon);
+                put_u64(w, t.estimate.max_iters as u64);
+                put_f64(w, t.estimate.tol);
             }
         },
     }
-    w.f64(cfg.estimator.offset);
-    w.f64(cfg.estimator.scale);
-    w.f64(cfg.estimator.dist_floor);
-    w.u64(cfg.bootstrap.replicates as u64);
-    w.f64(cfg.bootstrap.alpha);
+    put_f64(w, cfg.estimator.offset);
+    put_f64(w, cfg.estimator.scale);
+    put_f64(w, cfg.estimator.dist_floor);
+    put_u64(w, cfg.bootstrap.replicates as u64);
+    put_f64(w, cfg.bootstrap.alpha);
 }
 
 /// The fingerprint bytes of a configuration.
 pub fn config_fingerprint(cfg: &DetectorConfig) -> Vec<u8> {
-    let mut w = Writer::with_capacity(64);
+    let mut w = Vec::with_capacity(64);
     put_config(&mut w, cfg);
-    w.into_bytes()
+    w
 }
 
 // ---- OnlineState -------------------------------------------------------
 
-fn put_signature(w: &mut Writer, sig: &Signature) {
-    w.u32(sig.len() as u32);
-    w.u32(sig.dim() as u32);
+fn put_signature(w: &mut Vec<u8>, sig: &Signature) {
+    put_u32(w, sig.len() as u32);
+    put_u32(w, sig.dim() as u32);
     for p in sig.points() {
         for &x in p {
-            w.f64(x);
+            put_f64(w, x);
         }
     }
     for &weight in sig.weights() {
-        w.f64(weight);
+        put_f64(w, weight);
     }
 }
 
@@ -389,91 +214,30 @@ fn read_signature(r: &mut Reader<'_>) -> Result<Signature, SnapshotError> {
         .map_err(|e| SnapshotError::Corrupt(format!("invalid signature: {e}")))
 }
 
-/// Append one stream state (current-version framing: the flattened
-/// distance rows are written as one `u32` count plus values).
-pub fn encode_state(w: &mut Writer, state: &OnlineState) {
-    w.u64(state.seed);
-    w.u64(state.pushed);
-    w.u64(state.emitted);
+/// Append one stream state.
+fn put_state(w: &mut Vec<u8>, state: &OnlineState) {
+    put_u64(w, state.seed);
+    put_u64(w, state.pushed);
+    put_u64(w, state.emitted);
     match state.dim {
-        None => w.u32(0),
-        Some(d) => w.u32(d + 1),
+        None => put_u32(w, 0),
+        Some(d) => put_u32(w, d + 1),
     }
-    w.u32(state.sigs.len() as u32);
+    put_u32(w, state.sigs.len() as u32);
     for sig in &state.sigs {
         put_signature(w, sig);
     }
-    w.u32(state.rows.len() as u32);
+    put_u32(w, state.rows.len() as u32);
     for &d in &state.rows {
-        w.f64(d);
+        put_f64(w, d);
     }
-    w.u32(state.ci_up_hist.len() as u32);
+    put_u32(w, state.ci_up_hist.len() as u32);
     for &u in &state.ci_up_hist {
-        w.f64(u);
+        put_f64(w, u);
     }
 }
 
-/// Append one stream state in the retired **v2** framing (per-signature
-/// length-prefixed forward distance rows). Kept only so tests — here
-/// and at the engine level — can fabricate v2 checkpoints against one
-/// authoritative description of the legacy layout; nothing in
-/// production writes it.
-#[doc(hidden)]
-pub fn encode_state_v2(w: &mut Writer, state: &OnlineState) {
-    w.u64(state.seed);
-    w.u64(state.pushed);
-    w.u64(state.emitted);
-    match state.dim {
-        None => w.u32(0),
-        Some(d) => w.u32(d + 1),
-    }
-    let n = state.sigs.len();
-    w.u32(n as u32);
-    for sig in &state.sigs {
-        put_signature(w, sig);
-    }
-    let mut at = 0;
-    for k in 0..n {
-        let len = n - k - 1;
-        w.u32(len as u32);
-        for &d in &state.rows[at..at + len] {
-            w.f64(d);
-        }
-        at += len;
-    }
-    w.u32(state.ci_up_hist.len() as u32);
-    for &u in &state.ci_up_hist {
-        w.f64(u);
-    }
-}
-
-/// A whole engine checkpoint in the retired **v2** framing; test
-/// support only, see [`encode_state_v2`].
-#[doc(hidden)]
-pub fn encode_engine_v2<S: AsRef<str>>(
-    cfg: &DetectorConfig,
-    master_seed: u64,
-    names: &[S],
-    streams: &[(u32, OnlineState)],
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.bytes(MAGIC);
-    w.u32(2);
-    w.bytes(&config_fingerprint(cfg));
-    w.u64(master_seed);
-    w.u64(names.len() as u64);
-    for name in names {
-        w.str(name.as_ref());
-    }
-    w.u64(streams.len() as u64);
-    for (id, state) in streams {
-        w.u32(*id);
-        encode_state_v2(&mut w, state);
-    }
-    w.into_bytes()
-}
-
-fn read_state(r: &mut Reader<'_>, version: u32) -> Result<OnlineState, SnapshotError> {
+fn read_state(r: &mut Reader<'_>) -> Result<OnlineState, SnapshotError> {
     let seed = r.u64()?;
     let pushed = r.u64()?;
     let emitted = r.u64()?;
@@ -493,34 +257,15 @@ fn read_state(r: &mut Reader<'_>, version: u32) -> Result<OnlineState, SnapshotE
         sigs.push(read_signature(r)?);
     }
     let expected_rows = nsigs * nsigs.saturating_sub(1) / 2;
-    let mut rows: Vec<f64>;
-    if version == 2 {
-        // v2 framing: one length-prefixed forward row per signature.
-        // The values (and their order) are exactly the v3 flattening,
-        // so migration is pure concatenation.
-        rows = Vec::with_capacity(r.bounded_capacity(expected_rows, 8));
-        for k in 0..nsigs {
-            let len = r.u32()? as usize;
-            if len != nsigs - k - 1 {
-                return Err(SnapshotError::Corrupt(format!(
-                    "distance row {k} of {len} entries among {nsigs} signatures"
-                )));
-            }
-            for _ in 0..len {
-                rows.push(r.f64()?);
-            }
-        }
-    } else {
-        let total = r.u32()? as usize;
-        if total != expected_rows {
-            return Err(SnapshotError::Corrupt(format!(
-                "{total} distance entries for {nsigs} signatures (expected {expected_rows})"
-            )));
-        }
-        rows = Vec::with_capacity(r.bounded_capacity(total, 8));
-        for _ in 0..total {
-            rows.push(r.f64()?);
-        }
+    let total = r.u32()? as usize;
+    if total != expected_rows {
+        return Err(SnapshotError::Corrupt(format!(
+            "{total} distance entries for {nsigs} signatures (expected {expected_rows})"
+        )));
+    }
+    let mut rows = Vec::with_capacity(r.bounded_capacity(total, 8));
+    for _ in 0..total {
+        rows.push(r.f64()?);
     }
     let hist_len = r.u32()? as usize;
     if hist_len > 1_000_000 {
@@ -568,22 +313,22 @@ pub fn encode_engine<S: AsRef<str>>(
     mut streams: Vec<(u32, OnlineState)>,
 ) -> Vec<u8> {
     streams.sort_by_key(|(id, _)| *id);
-    let mut w = Writer::with_capacity(64 + names.len() * 24 + streams.len() * 256);
-    w.bytes(MAGIC);
-    w.u32(VERSION);
+    let mut w = Vec::with_capacity(64 + names.len() * 24 + streams.len() * 256);
+    w.extend_from_slice(MAGIC);
+    put_u32(&mut w, VERSION);
     put_config(&mut w, cfg);
-    w.u64(master_seed);
-    w.u64(names.len() as u64);
+    put_u64(&mut w, master_seed);
+    put_u64(&mut w, names.len() as u64);
     for name in names {
-        w.str(name.as_ref());
+        put_str(&mut w, name.as_ref());
     }
-    w.u64(streams.len() as u64);
+    put_u64(&mut w, streams.len() as u64);
     for (id, state) in &streams {
         debug_assert!((*id as usize) < names.len(), "stream id outside the table");
-        w.u32(*id);
-        encode_state(&mut w, state);
+        put_u32(&mut w, *id);
+        put_state(&mut w, state);
     }
-    w.into_bytes()
+    w
 }
 
 /// Parse an engine checkpoint, validating magic, version, that the
@@ -598,7 +343,7 @@ pub fn decode_engine(bytes: &[u8], cfg: &DetectorConfig) -> Result<EngineSnapsho
         return Err(SnapshotError::BadMagic);
     }
     let version = r.u32()?;
-    if !(MIN_READ_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(SnapshotError::BadVersion(version));
     }
     let expected = config_fingerprint(cfg);
@@ -615,7 +360,7 @@ pub fn decode_engine(bytes: &[u8], cfg: &DetectorConfig) -> Result<EngineSnapsho
     // A table entry is at least its 4-byte length prefix.
     let mut names = Vec::with_capacity(r.bounded_capacity(name_count as usize, 4));
     for _ in 0..name_count {
-        names.push(r.str()?);
+        names.push(r.str()?.to_owned());
     }
     {
         let mut seen = std::collections::HashSet::with_capacity(names.len());
@@ -651,7 +396,7 @@ pub fn decode_engine(bytes: &[u8], cfg: &DetectorConfig) -> Result<EngineSnapsho
                 )));
             }
         }
-        let state = read_state(&mut r, version)?;
+        let state = read_state(&mut r)?;
         streams.push((id, state));
     }
     if !r.finished() {
@@ -749,62 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshots_migrate_on_load() {
-        // A v2 snapshot (per-row framing) must decode to the same
-        // logical snapshot as its v3 re-encoding, and the migrated
-        // v3 bytes must round-trip bit-identically.
-        let names = ["alpha", "beta"];
-        let streams = vec![(0, state(2)), (1, state(1))];
-        let v2 = encode_engine_v2(&cfg(), 99, &names, &streams);
-        let snap = decode_engine(&v2, &cfg()).unwrap();
-        assert_eq!(snap.master_seed, 99);
-        assert_eq!(snap.streams, streams);
-
-        // Migrate: re-encode (always writes VERSION = 3) and compare a
-        // second decode against the first.
-        let v3 = encode_engine(&cfg(), snap.master_seed, &snap.names, snap.streams.clone());
-        assert_eq!(v3[8..12], VERSION.to_le_bytes());
-        let again = decode_engine(&v3, &cfg()).unwrap();
-        assert_eq!(snap, again, "v2 -> v3 migration must be lossless");
-        // And v3 re-encoding is a fixed point.
-        assert_eq!(
-            v3,
-            encode_engine(&cfg(), again.master_seed, &again.names, again.streams)
-        );
-    }
-
-    #[test]
-    fn v2_with_non_triangular_rows_is_corrupt() {
-        // v2's per-row framing is validated against the triangular
-        // shape during migration.
-        let mut w = Writer::new();
-        w.bytes(MAGIC);
-        w.u32(2);
-        w.bytes(&config_fingerprint(&cfg()));
-        w.u64(1);
-        w.u64(1);
-        w.str("s");
-        w.u64(1);
-        w.u32(0);
-        let st = state(1);
-        w.u64(st.seed);
-        w.u64(st.pushed);
-        w.u64(st.emitted);
-        w.u32(2); // dim Some(1)
-        w.u32(2);
-        for sig in &st.sigs {
-            put_signature(&mut w, sig);
-        }
-        w.u32(0); // row 0 should have 1 entry, not 0
-        w.u32(0);
-        w.u32(0);
-        assert!(matches!(
-            decode_engine(&w.into_bytes(), &cfg()),
-            Err(SnapshotError::Corrupt(_))
-        ));
-    }
-
-    #[test]
     fn rejects_version_1_with_explicit_bad_version() {
         // A v1 snapshot (same magic, version field 1) must fail loudly
         // as BadVersion, never parse as garbage.
@@ -817,40 +506,52 @@ mod tests {
     }
 
     #[test]
+    fn rejects_every_version_but_the_current_one() {
+        // v2 (per-row distance framing) and v3 (before the tiered
+        // solver's fingerprint) snapshots share the magic and no longer
+        // load; neither does a future version.
+        for version in [2u32, 3, VERSION + 1] {
+            let mut bytes = encode_engine(&cfg(), 1, &["s"], vec![(0, state(1))]);
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                decode_engine(&bytes, &cfg()),
+                Err(SnapshotError::BadVersion(version))
+            );
+        }
+    }
+
+    #[test]
     fn rejects_invalid_stream_ids() {
-        // Id outside the table: build the raw layout with the public
-        // Writer, pointing the only stream at id 7 of a 1-entry table.
-        let mut w = Writer::new();
-        w.bytes(MAGIC);
-        w.u32(VERSION);
-        w.bytes(&config_fingerprint(&cfg()));
-        w.u64(1);
-        w.u64(1);
-        w.str("a");
-        w.u64(1);
-        w.u32(7);
-        encode_state(&mut w, &state(1));
+        // Id outside the table: build the raw layout by hand, pointing
+        // the only stream at id 7 of a 1-entry table.
+        let header = |names: &[&str], streams: u64| {
+            let mut w = MAGIC.to_vec();
+            put_u32(&mut w, VERSION);
+            w.extend_from_slice(&config_fingerprint(&cfg()));
+            put_u64(&mut w, 1);
+            put_u64(&mut w, names.len() as u64);
+            for name in names {
+                put_str(&mut w, name);
+            }
+            put_u64(&mut w, streams);
+            w
+        };
+        let mut w = header(&["a"], 1);
+        put_u32(&mut w, 7);
+        put_state(&mut w, &state(1));
         assert!(matches!(
-            decode_engine(&w.into_bytes(), &cfg()),
+            decode_engine(&w, &cfg()),
             Err(SnapshotError::Corrupt(_))
         ));
 
         // Duplicate id.
-        let mut w = Writer::new();
-        w.bytes(MAGIC);
-        w.u32(VERSION);
-        w.bytes(&config_fingerprint(&cfg()));
-        w.u64(1);
-        w.u64(2);
-        w.str("a");
-        w.str("b");
-        w.u64(2);
-        w.u32(0);
-        encode_state(&mut w, &state(1));
-        w.u32(0);
-        encode_state(&mut w, &state(2));
+        let mut w = header(&["a", "b"], 2);
+        put_u32(&mut w, 0);
+        put_state(&mut w, &state(1));
+        put_u32(&mut w, 0);
+        put_state(&mut w, &state(2));
         assert!(matches!(
-            decode_engine(&w.into_bytes(), &cfg()),
+            decode_engine(&w, &cfg()),
             Err(SnapshotError::Corrupt(_))
         ));
     }
@@ -923,24 +624,5 @@ mod tests {
         let a = encode_engine(&cfg(), 7, &names, vec![(0, state(1)), (1, state(2))]);
         let b = encode_engine(&cfg(), 7, &names, vec![(1, state(2)), (0, state(1))]);
         assert_eq!(a, b, "order of collection must not matter");
-    }
-
-    #[test]
-    fn reader_and_writer_round_trip_primitives() {
-        let mut w = Writer::new();
-        w.u32(7);
-        w.u64(u64::MAX);
-        w.i64(i64::MIN);
-        w.f64(-0.5);
-        w.str("name");
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.u32().unwrap(), 7);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.i64().unwrap(), i64::MIN);
-        assert_eq!(r.f64().unwrap(), -0.5);
-        assert_eq!(r.str().unwrap(), "name");
-        assert!(r.finished());
-        assert_eq!(r.u32(), Err(SnapshotError::Truncated));
     }
 }

@@ -167,68 +167,6 @@ fn snapshot_mid_window_then_restore_yields_identical_alerts() {
     assert_eq!(bytes, bytes2, "restore -> snapshot is the identity");
 }
 
-/// Re-encode a decoded engine snapshot in the retired v2 framing (via
-/// the snapshot module's shared legacy encoder) so the migration path
-/// can be driven end to end through a real engine restore.
-fn transcode_to_v2(snap: &snapshot::EngineSnapshot, cfg: &DetectorConfig) -> Vec<u8> {
-    snapshot::encode_engine_v2(cfg, snap.master_seed, &snap.names, &snap.streams)
-}
-
-#[test]
-fn v2_snapshot_restores_and_resumes_bit_identically() {
-    const STREAMS: usize = 3;
-    const CUT: usize = 6;
-    const TOTAL: usize = 12;
-
-    // Reference: an engine that never stops.
-    let mut reference = StreamEngine::new(engine_config(2)).unwrap();
-    for t in 0..TOTAL {
-        for s in 0..STREAMS {
-            reference.push(&format!("s{s}"), bag_for(s, t)).unwrap();
-        }
-    }
-    reference.flush().unwrap();
-    let expected = points_by_stream(reference.shutdown());
-
-    // Take a live v3 snapshot at the cut and transcode it to v2.
-    let mut first = StreamEngine::new(engine_config(2)).unwrap();
-    for t in 0..CUT {
-        for s in 0..STREAMS {
-            first.push(&format!("s{s}"), bag_for(s, t)).unwrap();
-        }
-    }
-    let v3 = first.snapshot().unwrap();
-    let mut early = first.drain_events();
-    early.extend(first.shutdown());
-    let cfg = engine_config(2).detector;
-    let decoded = snapshot::decode_engine(&v3, &cfg).unwrap();
-    let v2 = transcode_to_v2(&decoded, &cfg);
-    assert_ne!(v2, v3, "the framings differ on the wire");
-
-    // v2 -> restore: resumes exactly like the uninterrupted engine...
-    let mut restored = StreamEngine::restore(&v2, engine_config(1)).unwrap();
-    // ...and re-snapshots to the *v3* bytes (migration is complete and
-    // lossless after one load).
-    let migrated = restored.snapshot().unwrap();
-    assert_eq!(migrated, v3, "v2 -> restore -> snapshot yields v3 bytes");
-    let roundtrip = snapshot::decode_engine(&migrated, &cfg).expect("migrated snapshot decodes");
-    assert_eq!(
-        roundtrip, decoded,
-        "v2 -> restore -> v3 -> restore is lossless"
-    );
-
-    for t in CUT..TOTAL {
-        for s in 0..STREAMS {
-            restored.push(&format!("s{s}"), bag_for(s, t)).unwrap();
-        }
-    }
-    restored.flush().unwrap();
-    let mut all = early;
-    all.extend(restored.shutdown());
-    let got = points_by_stream(all);
-    assert_eq!(expected, got, "v2-restored run must be bit-identical");
-}
-
 #[test]
 fn id_keyed_pushes_match_name_keyed_bit_for_bit() {
     // The satellite equivalence guarantee: resolving once and pushing

@@ -80,16 +80,17 @@
 //! nothing past the last checkpoint.
 
 use bags_cpd::emd::SinkhornConfig;
-use bags_cpd::follow::{decode_checkpoint, FOLLOW_STREAM};
-use bags_cpd::stream::ingest::parse_row;
+use bags_cpd::stream::ingest::checkpoint::decode_checkpoint;
 use bags_cpd::stream::ingest::{
-    CsvFileSource, DirSource, MemorySource, TcpLimits, TcpSource, ThreadedLineSource,
+    parse_row, CsvFileSource, DirSource, MemorySource, StreamCursor, TcpLimits, TcpSource,
+    ThreadedLineSource, FOLLOW_STREAM,
 };
+use bags_cpd::stream::snapshot::decode_engine;
 use bags_cpd::stream::testkit::{ChaosSink, DeliverFault, FaultSchedule};
 use bags_cpd::stream::{
     CheckpointPolicy, CsvSchema, CsvSink, Event, MemorySink, MetricSample, MetricsRegistry,
-    Pipeline, PipelineBuilder, Query, ReplayDiffSink, RetryPolicy, RetryingSink, ScoreLogReader,
-    ScoreStore, Sink, StderrAlertSink, Tee,
+    OnlineState, Pipeline, PipelineBuilder, Query, ReplayDiffSink, RetryPolicy, RetryingSink,
+    ScoreLogReader, ScoreStore, Sink, StderrAlertSink, Tee,
 };
 use bags_cpd::{
     Bag, BootstrapConfig, DetectError, Detector, DetectorConfig, EmdSolver, ScoreKind,
@@ -879,26 +880,26 @@ fn run_follow(opts: &Options) -> Result<(), String> {
     let mut base_bags = 0u64;
     let mut base_points = 0u64;
     if let Some(bytes) = pipeline.restored_state() {
-        // The single-source view of the restored state (the very bytes
-        // the pipeline resumed from), for resume diagnostics and the
-        // seed-conflict warning.
+        // The follow stream's view of the restored state (the very
+        // bytes the pipeline resumed from), for resume diagnostics and
+        // the seed-conflict warning.
         let path = opts.state.as_deref().unwrap_or_default();
-        if let Ok(view) = decode_checkpoint(bytes, &detector_config(opts)) {
-            if opts.seed_explicit && view.master_seed != opts.seed {
+        if let Some((master_seed, state, cursor)) = follow_view(bytes, &detector_config(opts)) {
+            if opts.seed_explicit && master_seed != opts.seed {
                 eprintln!(
                     "warning: --seed {} ignored; the checkpoint continues under seed \
-                     {} (a stream's seed is fixed at its first session)",
-                    opts.seed, view.master_seed
+                     {master_seed} (a stream's seed is fixed at its first session)",
+                    opts.seed
                 );
             }
-            base_bags = view.state.pushed;
-            base_points = view.state.emitted;
+            base_bags = state.pushed;
+            base_points = state.emitted;
             eprintln!(
                 "resumed from {path}: {} bags seen, {} points emitted, {} input bytes consumed{}",
                 base_bags,
                 base_points,
-                view.consumed,
-                view.pending.as_ref().map_or(String::new(), |(t, rows)| {
+                cursor.consumed,
+                cursor.pending.as_ref().map_or(String::new(), |(t, rows)| {
                     format!(", {} buffered rows for t = {t}", rows.len())
                 })
             );
@@ -915,6 +916,21 @@ fn run_follow(opts: &Options) -> Result<(), String> {
         print_stats(&summary.metrics);
     }
     Ok(())
+}
+
+/// The follow stream in checkpoint bytes: the session's master seed,
+/// the stream's detector state, and its resume cursor. `None` unless
+/// the checkpoint decodes under `cfg` and holds both for
+/// [`FOLLOW_STREAM`].
+fn follow_view(bytes: &[u8], cfg: &DetectorConfig) -> Option<(u64, OnlineState, StreamCursor)> {
+    let (cursors, snapshot) = decode_checkpoint(bytes).ok()?;
+    let cursor = cursors
+        .into_iter()
+        .find_map(|(name, cursor)| (name == FOLLOW_STREAM).then_some(cursor))?;
+    let snap = decode_engine(snapshot, cfg).ok()?;
+    let id = snap.names.iter().position(|name| name == FOLLOW_STREAM)?;
+    let (_, state) = snap.streams.into_iter().find(|(i, _)| *i as usize == id)?;
+    Some((snap.master_seed, state, cursor))
 }
 
 /// Add one [`CsvFileSource`] per `--csv` path, each stream named by the

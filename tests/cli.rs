@@ -282,7 +282,7 @@ fn follow_mode_checkpoint_resume_is_identical() {
         "--seed",
         "3",
     ];
-    let run = |input: &std::path::Path, state: &std::path::Path| -> String {
+    let run = |input: &std::path::Path, state: &std::path::Path| -> (String, String) {
         let out = bin()
             .arg("follow")
             .arg(input)
@@ -291,21 +291,32 @@ fn follow_mode_checkpoint_resume_is_identical() {
             .arg(state)
             .output()
             .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "stderr: {stderr}");
+        (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
     };
 
     // Reference: one uninterrupted checkpointing session (a fresh state
     // file, so it holds back the trailing bag exactly like the split
     // sessions do).
-    let uninterrupted = run(&full, &reference_state);
-    let first = run(&dir.join("part1.csv"), &state);
+    let (uninterrupted, _) = run(&full, &reference_state);
+    let part1 = dir.join("part1.csv");
+    let (first, _) = run(&part1, &state);
     assert!(state.exists(), "checkpoint written on EOF");
-    let second = run(&dir.join("part2.csv"), &state);
+    let (second, resume_log) = run(&dir.join("part2.csv"), &state);
+
+    // The resume diagnostic: 8 completed bags (t = 0..7), the points
+    // they emitted, every byte of part 1, and the held-back bag t = 8.
+    let consumed = std::fs::metadata(&part1).expect("part 1").len();
+    let expected_line = format!(
+        "resumed from {}: 8 bags seen, 2 points emitted, {consumed} input bytes consumed, \
+         60 buffered rows for t = 8",
+        state.display()
+    );
+    assert!(
+        resume_log.lines().any(|l| l == expected_line),
+        "missing `{expected_line}` in stderr:\n{resume_log}"
+    );
 
     let resumed: Vec<&str> = first
         .lines()
@@ -602,77 +613,96 @@ fn follow_mode_rejects_backwards_time() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("time went backwards"));
 }
 
-/// Legacy single-source (`BCPDFLW1`) state files written by earlier
-/// builds must still load and resume losslessly: re-frame a modern
-/// checkpoint in the v1 layout mid-sequence and let the second session
-/// continue from it.
+/// Checkpoints of earlier format versions (`BCPDFLW1`, `BCPDFLW2`) are
+/// refused by name, in both `follow` and `serve`, and left untouched.
 #[test]
-fn follow_mode_legacy_v1_state_file_still_loads() {
-    use bags_cpd::follow::{decode_checkpoint, encode_checkpoint_v1};
-    use bags_cpd::{BootstrapConfig, DetectorConfig};
-
-    let dir = std::env::temp_dir().join("bags_cpd_cli_legacy1");
+fn follow_and_serve_refuse_earlier_checkpoint_versions_untouched() {
+    let dir = std::env::temp_dir().join("bags_cpd_cli_old_state");
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let full = dir.join("full.csv");
-    write_test_csv(&full, 18, 9);
-    let text = std::fs::read_to_string(&full).expect("read");
-    let (part1, part2): (Vec<&str>, Vec<&str>) = text
-        .lines()
-        .skip(1)
-        .partition(|l| l.split(',').next().unwrap().parse::<i64>().unwrap() < 8);
-    std::fs::write(dir.join("part1.csv"), part1.join("\n") + "\n").unwrap();
-    std::fs::write(dir.join("part2.csv"), part2.join("\n") + "\n").unwrap();
-
-    let state = dir.join("ck.snap");
-    let ref_state = dir.join("ref.snap");
+    std::fs::create_dir_all(dir.join("fleet")).expect("tmp dir");
+    let input = dir.join("fleet").join("a.csv");
+    write_test_csv(&input, 12, 6);
     let args = ["--tau", "3", "--tau-prime", "2", "--replicates", "50"];
-    let run = |input: &std::path::Path, state: &std::path::Path| -> String {
-        let out = bin()
-            .arg("follow")
-            .arg(input)
-            .args(args)
-            .arg("--state")
-            .arg(state)
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-
-    let uninterrupted = run(&full, &ref_state);
-    let first = run(&dir.join("part1.csv"), &state);
-
-    // Downgrade the checkpoint to the legacy layout in place.
-    let cfg = DetectorConfig {
-        tau: 3,
-        tau_prime: 2,
-        bootstrap: BootstrapConfig {
-            replicates: 50,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let bytes = std::fs::read(&state).expect("checkpoint written");
+    let state = dir.join("ck.snap");
+    let out = bin()
+        .arg("follow")
+        .arg(&input)
+        .args(args)
+        .arg("--state")
+        .arg(&state)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let current = std::fs::read(&state).expect("checkpoint written");
     assert_eq!(
-        &bytes[..8],
-        b"BCPDFLW2",
-        "new sessions write the current format"
+        &current[..8],
+        b"BCPDFLW3",
+        "sessions write the current format"
     );
-    let view = decode_checkpoint(&bytes, &cfg).expect("decodes");
-    std::fs::write(&state, encode_checkpoint_v1(&cfg, &view)).unwrap();
 
-    let second = run(&dir.join("part2.csv"), &state);
-    let resumed: Vec<&str> = first.lines().chain(second.lines().skip(1)).collect();
-    let expected: Vec<&str> = uninterrupted.lines().collect();
-    assert_eq!(expected, resumed, "legacy-format resume must lose nothing");
-    // The next checkpoint is migrated to the current format.
-    let rewritten = std::fs::read(&state).unwrap();
-    assert_eq!(&rewritten[..8], b"BCPDFLW2");
+    for version in [1u8, 2] {
+        let mut old = current.clone();
+        old[7] = b'0' + version;
+        std::fs::write(&state, &old).unwrap();
+        let mut follow = bin();
+        follow.arg("follow").arg(&input);
+        let mut serve = bin();
+        serve.arg("serve").arg("--dir").arg(dir.join("fleet"));
+        for mut cmd in [follow, serve] {
+            let out = cmd
+                .args(args)
+                .arg("--state")
+                .arg(&state)
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "BCPDFLW{version} must not load");
+            assert!(
+                stderr.contains(&format!("unsupported checkpoint version {version}")),
+                "stderr: {stderr}"
+            );
+            assert_eq!(std::fs::read(&state).unwrap(), old, "the file is untouched");
+        }
+    }
+}
+
+/// A spill file in the retired `BCPDSPL1` codec fails the build with
+/// its path and is not truncated.
+#[test]
+fn serve_refuses_a_leftover_old_format_spill_untouched() {
+    let dir = std::env::temp_dir().join("bags_cpd_cli_old_spill");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("fleet")).expect("tmp dir");
+    std::fs::create_dir_all(dir.join("spill")).expect("tmp dir");
+    write_sensor_csv(&dir.join("fleet").join("s0.csv"), 8, 4, false);
+    let spill = dir.join("spill").join("sink-0-csv.spill");
+    // Magic, then one frame header (length, checksum) and a payload.
+    let mut old = b"BCPDSPL1".to_vec();
+    old.extend_from_slice(&4u32.to_le_bytes());
+    old.extend_from_slice(&[0xAB; 8]);
+    old.extend_from_slice(&0u32.to_le_bytes());
+    std::fs::write(&spill, &old).unwrap();
+
+    let out = bin()
+        .arg("serve")
+        .arg("--dir")
+        .arg(dir.join("fleet"))
+        .args(["--tau", "3", "--tau-prime", "2", "--replicates", "50"])
+        .arg("--spill-dir")
+        .arg(dir.join("spill"))
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "an old spill must not load");
+    assert!(
+        stderr.contains(&spill.display().to_string()),
+        "stderr names the file: {stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&spill).unwrap(),
+        old,
+        "the spill is untouched"
+    );
 }
 
 /// Write one serve-mode sensor CSV (change at `change_at` when `shift`).
@@ -1087,13 +1117,19 @@ fn serve_mode_metrics_endpoint_answers_prometheus_scrapes() {
             .and_then(|v| v.parse::<u64>().ok())
             .expect("engine pushes sample");
         // 9 bags per stream with the trailing bag held back in watch
-        // mode: 8 completed bags on each of the two streams.
-        if pushes >= 16 {
+        // mode: 8 completed bags on each of the two streams. A push is
+        // counted when it is queued, before a worker solves it, so also
+        // wait for the solver counter to move.
+        let solving = body
+            .lines()
+            .find_map(|l| l.strip_prefix("bagscpd_solver_exact_solves_total "))
+            .is_some_and(|v| v != "0");
+        if pushes >= 16 && solving {
             break body;
         }
         assert!(
             Instant::now() < deadline,
-            "pushes never reached 16:\n{body}"
+            "pushes never reached 16 with the solver running:\n{body}"
         );
         std::thread::sleep(Duration::from_millis(25));
     };

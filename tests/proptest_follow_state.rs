@@ -1,21 +1,23 @@
-//! Property tests of the CLI follow-checkpoint format: corrupting or
-//! truncating a checkpoint at an arbitrary byte offset must always
-//! yield a clean error — never a panic, an allocation blow-up, or a
-//! silently lossy resume (pending rows dropped on the floor).
+//! Property tests of the `--state` checkpoint format
+//! (`stream::ingest::checkpoint` in front of an engine snapshot), as
+//! `follow` writes it: corrupting or truncating a checkpoint at an
+//! arbitrary byte offset must always yield a clean error — never a
+//! panic, an allocation blow-up, or a silently lossy resume (pending
+//! rows dropped on the floor).
 
 use bags_cpd::emd::Signature;
-use bags_cpd::follow::{
-    decode_checkpoint, encode_checkpoint, encode_checkpoint_v1, FollowCheckpoint, StateError,
-    FOLLOW_STREAM, NO_TIME,
+use bags_cpd::stream::ingest::checkpoint::{
+    decode_checkpoint, encode_checkpoint, NamedCursors, StateError, FOLLOW_STREAM, NO_TIME,
 };
+use bags_cpd::stream::ingest::StreamCursor;
+use bags_cpd::stream::snapshot::{decode_engine, encode_engine, EngineSnapshot};
 use bags_cpd::stream::OnlineState;
 use bags_cpd::{BootstrapConfig, DetectorConfig};
 use proptest::prelude::*;
 
-/// Byte offset of the pending-time field in a current-format
-/// single-source checkpoint: magic (8) + cursor count (4) + name
-/// length (4) + the name itself + quarantine flag (1) +
-/// completed_time (8).
+/// Byte offset of the pending-time field in a single-source
+/// checkpoint: magic (8) + cursor count (4) + name length (4) + the
+/// name itself + quarantine flag (1) + completed_time (8).
 const PENDING_TIME_AT: usize = 8 + 4 + 4 + FOLLOW_STREAM.len() + 1 + 8;
 
 fn cfg() -> DetectorConfig {
@@ -50,22 +52,33 @@ fn state(seed: u64, k: usize) -> OnlineState {
     }
 }
 
-fn checkpoint(
-    seed: u64,
-    k: usize,
+fn cursor(
     completed: Option<i64>,
     pending: Option<(i64, Vec<Vec<f64>>)>,
     consumed: u64,
     prefix_hash: u64,
-) -> FollowCheckpoint {
-    FollowCheckpoint {
-        master_seed: seed,
+) -> StreamCursor {
+    StreamCursor {
         completed_time: completed,
         pending,
         consumed,
         prefix_hash,
-        state: state(seed, k),
+        quarantined: false,
     }
+}
+
+/// A single-source checkpoint the way `follow` writes one: a cursor
+/// table of one [`FOLLOW_STREAM`] entry in front of a one-stream engine
+/// snapshot.
+fn encode(seed: u64, k: usize, cursor: &StreamCursor) -> Vec<u8> {
+    let snapshot = encode_engine(&cfg(), seed, &[FOLLOW_STREAM], vec![(0, state(seed, k))]);
+    encode_checkpoint(&[(FOLLOW_STREAM, cursor.clone())], &snapshot)
+}
+
+/// Decode both layers, as a resuming session does.
+fn decode(bytes: &[u8]) -> Result<(NamedCursors, EngineSnapshot), StateError> {
+    let (cursors, snapshot) = decode_checkpoint(bytes)?;
+    Ok((cursors, decode_engine(snapshot, &cfg())?))
 }
 
 /// Strategy for a pending bag: absent half the time, else 1–4 rows of
@@ -94,34 +107,38 @@ proptest! {
         pending in pending_strategy(),
         consumed in 0u64..u64::MAX,
         prefix_hash in 0u64..u64::MAX,
+        quarantined in 0u8..2,
     ) {
-        let ck = checkpoint(seed, k, completed, pending, consumed, prefix_hash);
-        let bytes = encode_checkpoint(&cfg(), &ck);
-        let back = decode_checkpoint(&bytes, &cfg()).expect("valid checkpoint decodes");
-        prop_assert_eq!(back, ck);
+        let cursor = StreamCursor {
+            quarantined: quarantined == 1,
+            ..cursor(completed, pending, consumed, prefix_hash)
+        };
+        let bytes = encode(seed, k, &cursor);
+        let (cursors, snap) = decode(&bytes).expect("valid checkpoint decodes");
+        prop_assert_eq!(cursors, vec![(FOLLOW_STREAM.to_string(), cursor)]);
+        prop_assert_eq!(snap, EngineSnapshot {
+            master_seed: seed,
+            names: vec![FOLLOW_STREAM.to_string()],
+            streams: vec![(0, state(seed, k))],
+        });
     }
 
-    /// Every strict prefix of a valid checkpoint fails cleanly: no
-    /// panic, no giant allocation, just an error.
+    /// Every strict prefix of a valid checkpoint fails cleanly as
+    /// truncation: no panic, no giant allocation, no successful,
+    /// silently shorter resume.
     #[test]
     fn truncation_at_any_offset_errors(
         cut_frac in 0.0..1.0f64,
         pending in pending_strategy(),
     ) {
-        let ck = checkpoint(7, 2, Some(5), pending, 100, 42);
-        let bytes = encode_checkpoint(&cfg(), &ck);
+        let bytes = encode(7, 2, &cursor(Some(5), pending, 100, 42));
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         prop_assert!(cut < bytes.len());
-        let err = decode_checkpoint(&bytes[..cut], &cfg())
-            .expect_err("a strict prefix must never decode");
-        // A short file reads as truncation (or, with the magic intact
-        // but content cut, whichever structural error hit first) — but
-        // never as a successful, silently shorter resume.
-        let _ = err;
+        prop_assert_eq!(decode(&bytes[..cut]), Err(StateError::Truncated));
     }
 
     /// Flipping any single byte never panics; if the result still
-    /// decodes, the pending bag is structurally intact (no rows were
+    /// decodes, every pending bag is structurally intact (no rows were
     /// silently dropped and no ragged rows appear).
     #[test]
     fn byte_flip_never_panics_or_drops_rows(
@@ -129,15 +146,16 @@ proptest! {
         flip in 1u8..=255,
         pending in pending_strategy(),
     ) {
-        let ck = checkpoint(3, 2, Some(1), pending, 9, 11);
-        let mut bytes = encode_checkpoint(&cfg(), &ck);
+        let mut bytes = encode(3, 2, &cursor(Some(1), pending, 9, 11));
         let at = ((bytes.len() as f64) * at_frac) as usize % bytes.len();
         bytes[at] ^= flip;
-        if let Ok(decoded) = decode_checkpoint(&bytes, &cfg()) {
-            if let Some((_, rows)) = &decoded.pending {
-                prop_assert!(!rows.is_empty(), "pending present implies rows");
-                let dim = rows[0].len();
-                prop_assert!(rows.iter().all(|r| r.len() == dim), "ragged pending rows");
+        if let Ok((cursors, _)) = decode(&bytes) {
+            for (_, cursor) in &cursors {
+                if let Some((_, rows)) = &cursor.pending {
+                    prop_assert!(!rows.is_empty(), "pending present implies rows");
+                    let dim = rows[0].len();
+                    prop_assert!(rows.iter().all(|r| r.len() == dim), "ragged pending rows");
+                }
             }
         }
     }
@@ -149,11 +167,14 @@ fn pending_rows_without_pending_time_are_rejected_not_dropped() {
     // `pending_time == NO_TIME` as "no pending bag" and silently
     // discarded the buffered rows — data loss on resume. It must be a
     // hard error.
-    let ck = checkpoint(1, 2, Some(4), Some((5, vec![vec![0.5], vec![1.5]])), 10, 2);
-    let mut bytes = encode_checkpoint(&cfg(), &ck);
+    let mut bytes = encode(
+        1,
+        2,
+        &cursor(Some(4), Some((5, vec![vec![0.5], vec![1.5]])), 10, 2),
+    );
     // Clear pending_time only.
     bytes[PENDING_TIME_AT..PENDING_TIME_AT + 8].copy_from_slice(&NO_TIME.to_le_bytes());
-    match decode_checkpoint(&bytes, &cfg()) {
+    match decode(&bytes) {
         Err(StateError::Corrupt(why)) => {
             assert!(why.contains("pending rows"), "unexpected reason: {why}")
         }
@@ -165,16 +186,15 @@ fn pending_rows_without_pending_time_are_rejected_not_dropped() {
 fn truncated_and_foreign_files_are_distinguished() {
     // Regression: a short write used to be reported as "not a bags-cpd
     // follow checkpoint"; it must surface as truncation instead.
-    let ck = checkpoint(1, 2, None, None, 0, 0);
-    let bytes = encode_checkpoint(&cfg(), &ck);
+    let bytes = encode(1, 2, &cursor(None, None, 0, 0));
 
     assert_eq!(
-        decode_checkpoint(&bytes[..20], &cfg()),
+        decode(&bytes[..20]),
         Err(StateError::Truncated),
         "short file is truncation, not a foreign file"
     );
     assert_eq!(
-        decode_checkpoint(&bytes[..3], &cfg()),
+        decode(&bytes[..3]),
         Err(StateError::Truncated),
         "shorter than the magic is still truncation"
     );
@@ -182,7 +202,7 @@ fn truncated_and_foreign_files_are_distinguished() {
     let mut foreign = bytes;
     foreign[..8].copy_from_slice(b"NOTBAGS!");
     assert_eq!(
-        decode_checkpoint(&foreign, &cfg()),
+        decode(&foreign),
         Err(StateError::BadMagic),
         "wrong magic is a foreign file"
     );
@@ -190,54 +210,8 @@ fn truncated_and_foreign_files_are_distinguished() {
 
 #[test]
 fn pending_time_without_rows_is_rejected() {
-    let ck = checkpoint(1, 2, None, None, 0, 0);
-    let mut bytes = encode_checkpoint(&cfg(), &ck);
+    let mut bytes = encode(1, 2, &cursor(None, None, 0, 0));
     // Set pending_time, keep the row count 0.
     bytes[PENDING_TIME_AT..PENDING_TIME_AT + 8].copy_from_slice(&7i64.to_le_bytes());
-    assert!(matches!(
-        decode_checkpoint(&bytes, &cfg()),
-        Err(StateError::Corrupt(_))
-    ));
-}
-
-#[test]
-fn legacy_v1_checkpoints_still_load_and_migrate() {
-    // A --state file written by the pre-multi-source builds (BCPDFLW1:
-    // one unnamed cursor, fixed offsets) must decode to the same
-    // checkpoint, and re-encoding writes the current format.
-    let ck = checkpoint(
-        9,
-        3,
-        Some(6),
-        Some((7, vec![vec![0.5, 1.0], vec![1.5, 2.0]])),
-        123,
-        456,
-    );
-    let legacy = encode_checkpoint_v1(&cfg(), &ck);
-    assert_eq!(&legacy[..8], b"BCPDFLW1");
-    let decoded = decode_checkpoint(&legacy, &cfg()).expect("legacy file loads");
-    assert_eq!(decoded, ck);
-
-    let migrated = encode_checkpoint(&cfg(), &decoded);
-    assert_eq!(&migrated[..8], b"BCPDFLW2", "re-encode migrates");
-    assert_eq!(decode_checkpoint(&migrated, &cfg()).unwrap(), ck);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Truncating a *legacy* checkpoint at any offset also fails
-    /// cleanly (the migration path inherits the error discipline).
-    #[test]
-    fn legacy_truncation_errors_cleanly(
-        cut_frac in 0.0..1.0f64,
-        pending in pending_strategy(),
-    ) {
-        let ck = checkpoint(7, 2, Some(5), pending, 100, 42);
-        let bytes = encode_checkpoint_v1(&cfg(), &ck);
-        let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        prop_assert!(cut < bytes.len());
-        decode_checkpoint(&bytes[..cut], &cfg())
-            .expect_err("a strict prefix must never decode");
-    }
+    assert!(matches!(decode(&bytes), Err(StateError::Corrupt(_))));
 }
