@@ -104,3 +104,60 @@ fn analyze_hash() -> u64 {
 fn analyze_output_bits_are_pinned() {
     assert_eq!(analyze_hash(), 18_064_378_787_385_694_085);
 }
+
+/// 14 four-dimensional bags of 48 points with a mean shift at bag 7:
+/// k-means signatures of these reach full k × k tableaux.
+fn bags_4d(seed: u64) -> Vec<Bag> {
+    let mut state = seed;
+    (0..14)
+        .map(|t| {
+            let shift = if t < 7 { 0.0 } else { 1.5 };
+            Bag::new(
+                (0..48)
+                    .map(|_| {
+                        (0..4)
+                            .map(|_| {
+                                let u = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+                                shift + 4.0 * (u - 0.5)
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+fn analyze_kmeans_hash() -> u64 {
+    let mut h = Fnv::new();
+    for seed in [5u64, 41] {
+        let data = bags_4d(seed);
+        for k in [8, 32] {
+            for score in [ScoreKind::SymmetrizedKl, ScoreKind::LikelihoodRatio] {
+                let det = Detector::new(DetectorConfig {
+                    tau: 3,
+                    tau_prime: 3,
+                    score,
+                    signature: SignatureMethod::KMeans { k },
+                    bootstrap: BootstrapConfig {
+                        replicates: 16,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                })
+                .expect("valid config");
+                let out = det.analyze(&data, seed).expect("analyze succeeds");
+                h.detection(&out);
+            }
+        }
+    }
+    h.0
+}
+
+/// The 4-D k-means path: every EMD here is a full simplex solve (the
+/// 1-D histogram grid above never builds a tableau past a handful of
+/// cells), so this pins the transportation simplex end to end.
+#[test]
+fn analyze_kmeans_output_bits_are_pinned() {
+    assert_eq!(analyze_kmeans_hash(), 16_017_962_364_669_536_489);
+}

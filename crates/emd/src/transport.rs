@@ -893,4 +893,82 @@ mod tests {
         let plan = solve_transportation(&costs, &ones, &ones).unwrap();
         assert!((plan.total_cost() - 4.0).abs() < 1e-12);
     }
+
+    #[test]
+    fn blands_rule_bits_are_pinned() {
+        // Production never reaches the Bland branch (its grace period
+        // is half the iteration cap), so this grid is its bit pin: every
+        // plan and total over seeded problems, solved with Bland's rule
+        // from the first pivot and from the fourth, folded into one
+        // FNV-1a hash with the scratch's final pivot count. Shapes run
+        // 1..=32 per side with integer, real, zero and unequal
+        // marginals and either continuous or tied (0..3) costs.
+        fn word(h: &mut u64, w: u64) {
+            for b in w.to_le_bytes() {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let mut state = 0x0b1a_2d5e_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut scratch = TransportScratch::new();
+        for m in 1..=32usize {
+            for n in (1..=32usize).filter(|n| (n + 2 * m) % 4 == 0) {
+                let mode = next() % 4;
+                let tied = next() % 2 == 0;
+                let costs: Vec<f64> = (0..m * n)
+                    .map(|_| {
+                        if tied {
+                            (next() % 3) as f64
+                        } else {
+                            (next() >> 11) as f64 / (1u64 << 53) as f64
+                        }
+                    })
+                    .collect();
+                let mut marginal = |k: usize, scale: f64| -> Vec<f64> {
+                    let mut w: Vec<f64> = (0..k)
+                        .map(|_| match mode {
+                            0 => (1 + next() % 5) as f64,
+                            1 => 1.0 - (next() >> 11) as f64 / (1u64 << 53) as f64,
+                            _ if next() % 3 == 0 => 0.0,
+                            _ => (1 + next() % 4) as f64 * 0.25,
+                        })
+                        .collect();
+                    w[0] += 1.0;
+                    w.iter_mut().for_each(|x| *x *= scale);
+                    w
+                };
+                // mode 3 is unequal: a slack column or a slack row.
+                let (sa, sb) = match (mode, m % 2) {
+                    (3, 0) => (1.6, 1.0),
+                    (3, _) => (1.0, 1.9),
+                    _ => (1.0, 1.0),
+                };
+                let a = marginal(m, sa);
+                let b = marginal(n, sb);
+                for bland_after in [0, 3] {
+                    let dims = solve_core(&costs, &a, &b, &mut scratch, Some(bland_after)).unwrap();
+                    let mut flows = Vec::new();
+                    let (cost, flow) = finish(&scratch, &dims, |i, j, f| flows.push((i, j, f)));
+                    word(&mut h, cost.to_bits());
+                    word(&mut h, flow.to_bits());
+                    for (i, j, f) in flows {
+                        word(&mut h, (i * n + j) as u64);
+                        word(&mut h, f.to_bits());
+                    }
+                }
+            }
+        }
+        let stats = scratch.stats();
+        word(&mut h, stats.pivots);
+        assert_eq!((stats.solves, stats.pivots), (512, 51340));
+        assert_eq!(h, 4_563_105_463_068_809_450);
+    }
 }
