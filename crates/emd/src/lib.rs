@@ -14,6 +14,17 @@
 //! zero-cost slack node, the textbook reduction. A closed-form `O(n log
 //! n)` solver for the 1-D equal-mass case is provided both as a fast path
 //! and as an independent oracle for property tests.
+//!
+//! The simplex keeps its basis as a tree rooted at the first supply row
+//! for the whole solve. A pivot prices every cell in one branch-free
+//! sweep (row minima of the reduced costs, basic cells masked to `+∞`,
+//! ties to the first cell in row-major order), finds the cycle by
+//! walking both ends of the entering cell up to their common ancestor,
+//! and re-hangs only the subtree the leaving cell cuts off, recomputing
+//! its potentials top-down. Each potential depends only on its node's
+//! path to the root, so this bookkeeping yields exactly the potentials,
+//! pivots and flows of recomputing everything per pivot: every output
+//! bit is pinned by `tests/emd_bits.rs`. See [`transport`] for details.
 
 pub mod bounds;
 pub mod error;

@@ -1,6 +1,6 @@
 //! Transportation-problem solver (Eqs. 7–11 of the paper).
 //!
-//! A from-scratch transportation simplex:
+//! A from-scratch transportation simplex (Rubner et al., IJCV 2000):
 //!
 //! 1. zero supplies/demands are filtered out;
 //! 2. the unbalanced problem is balanced with a zero-cost slack node on
@@ -14,6 +14,22 @@
 //!    reduced cost, switching to Bland's smallest-index rule after a
 //!    grace period so cycling under degeneracy is impossible.
 //!
+//! The basis (a spanning tree over `m` row and `n` column nodes) stays
+//! a tree rooted at row 0 for the whole solve: parent, parent edge,
+//! depth, MODI potentials and a flat adjacency. Per pivot, **pricing**
+//! is one branch-free sweep of 8-lane row minima of `c − u_i − v_j`
+//! (basic cells hold `+∞`); the entering cell is the first, row-major,
+//! equal to the least minimum below `−tol` (or, under Bland's rule, the
+//! first improving cell of the first row with one) — the cell a
+//! row-major strict-`<` scan picks. **The cycle** walks `ej` and `ei` up
+//! to their lowest common ancestor. **The re-hang** moves only the
+//! subtree the leaving edge cuts off under the entering edge and
+//! recomputes its potentials top-down (`v_j = c_ij − u_i`,
+//! `u_i = c_ij − v_j`). No bit moves: a potential is a root-first sum
+//! along the node's unique root path, and only re-hung nodes change that
+//! path; the tree path is unique, so cycle, θ, leaving cell and basis
+//! slot order, hence every pivot, are those of any other path search.
+//!
 //! There is exactly one solver body, and it runs entirely out of a
 //! [`TransportScratch`]: the allocating [`solve_transportation`] is a
 //! thin wrapper that hands it a fresh scratch, while hot-path callers
@@ -22,7 +38,6 @@
 //! heap in steady state.
 
 use crate::error::EmdError;
-use std::collections::VecDeque;
 
 /// An optimal transportation plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,15 +71,16 @@ struct BasicCell {
     i: usize,
     j: usize,
     flow: f64,
+    /// The cell's cost (the tableau holds `+∞` there while it is basic).
+    cost: f64,
 }
 
 /// Every buffer the transportation simplex touches, reusable across
 /// solves: the filtered row/column index maps, the balanced tableau
-/// (costs and marginals), the basic-cell set, the MODI potentials, the
-/// basis-tree adjacency, and the stepping-stone path. One scratch serves
-/// problems of any shape — buffers are resized (never shrunk) per solve,
-/// so after the largest problem has been seen once, further solves
-/// allocate nothing.
+/// (costs and marginals), the basic-cell set, the basis tree, and the
+/// stepping-stone path. One scratch serves problems of any shape —
+/// buffers are resized (never shrunk) per solve, so after the largest
+/// problem has been seen once, further solves allocate nothing.
 ///
 /// Results are bit-identical to the allocating entry points regardless
 /// of what a previous solve left behind: every cell of every buffer that
@@ -75,7 +91,8 @@ pub struct TransportScratch {
     rows: Vec<usize>,
     /// Original indices of the retained (positive-demand) columns.
     cols: Vec<usize>,
-    /// Balanced cost matrix, row-major `m x n` (slack cells cost zero).
+    /// Balanced cost matrix, row-major `m x n` (slack cells cost zero);
+    /// basic cells hold `+∞`, so pricing needs no basis mask.
     c: Vec<f64>,
     /// Balanced supplies (consumed by the northwest-corner rule).
     a: Vec<f64>,
@@ -83,32 +100,8 @@ pub struct TransportScratch {
     b: Vec<f64>,
     /// Basic cells of the current tableau (`m + n - 1` of them).
     basis: Vec<BasicCell>,
-    /// Membership mask over tableau cells.
-    is_basic: Vec<bool>,
-    /// Row potentials.
-    u: Vec<f64>,
-    /// Column potentials.
-    v: Vec<f64>,
-    /// Which row potentials have been propagated.
-    known_u: Vec<bool>,
-    /// Which column potentials have been propagated.
-    known_v: Vec<bool>,
-    /// CSR adjacency of the basis tree: node offsets (`m + n + 1`).
-    adj_start: Vec<usize>,
-    /// CSR fill cursors (scratch for the counting sort).
-    adj_pos: Vec<usize>,
-    /// CSR adjacency items: basis-cell indices, two per cell.
-    adj_items: Vec<usize>,
-    /// DFS stack for potential propagation.
-    stack: Vec<usize>,
-    /// BFS queue for the stepping-stone path search.
-    bfs: VecDeque<usize>,
-    /// BFS parent edge per node.
-    parent_edge: Vec<usize>,
-    /// BFS parent node per node.
-    parent_node: Vec<usize>,
-    /// BFS visited mask.
-    visited: Vec<bool>,
+    /// The basis as a rooted tree, with the MODI potentials.
+    tree: BasisTree,
     /// The stepping-stone cycle (basis-cell indices).
     path: Vec<usize>,
     /// Ground-distance cost matrix for the crate-root `emd_with` entry
@@ -152,8 +145,6 @@ pub struct TransportStats {
 
 /// Shape of a solved (balanced) tableau, for plan extraction.
 struct Dims {
-    /// Columns of the balanced tableau.
-    n: usize,
     /// Leading rows that map to real supplies (the rest is slack).
     real_rows: usize,
     /// Leading columns that map to real demands (the rest is slack).
@@ -293,108 +284,45 @@ fn solve_core(
     }
     if balanced {
         // Snap the (tiny) imbalance onto the largest demand so row and
-        // column sums agree exactly.
-        let (jmax, _) =
-            s.b.iter()
-                .enumerate()
-                .max_by(|x, y| x.1.partial_cmp(y.1).expect("finite"))
-                .expect("non-empty");
+        // column sums agree exactly; the last of equal maxima wins.
+        let mut jmax = 0;
+        for (j, &bj) in s.b.iter().enumerate() {
+            if bj >= s.b[jmax] {
+                jmax = j;
+            }
+        }
         s.b[jmax] += diff;
     }
 
-    // The marginals are working copies: the northwest-corner rule
-    // consumes them in place (nothing reads them afterwards).
-    northwest_corner(&mut s.a, &mut s.b, &mut s.basis);
-    debug_assert_eq!(s.basis.len(), m + n - 1);
-
     let max_iters = (200 * (m + n) * (m + n)).max(2000);
     let bland_after = bland_after.unwrap_or(max_iters / 2);
+    // Scaled before the northwest-corner rule masks basic cells to +∞.
     let cost_scale = s.c.iter().fold(1.0f64, |acc, &x| acc.max(x.abs()));
     let tol = 1e-10 * cost_scale;
 
-    s.is_basic.clear();
-    s.is_basic.resize(m * n, false);
-    for cell in &s.basis {
-        s.is_basic[cell.i * n + cell.j] = true;
-    }
+    // The marginals are working copies: the northwest-corner rule
+    // consumes them in place (nothing reads them afterwards).
+    northwest_corner(&mut s.a, &mut s.b, &mut s.c, &mut s.basis);
+    debug_assert_eq!(s.basis.len(), m + n - 1);
 
-    s.u.clear();
-    s.u.resize(m, 0.0);
-    s.v.clear();
-    s.v.resize(n, 0.0);
+    s.tree.plant(&s.basis, m, n);
+    s.path.clear();
+    s.path.reserve(m + n);
 
     for iter in 0..max_iters {
-        // The basis tree changed by one edge (or is new): rebuild its
-        // adjacency once per pivot and share it between the potential
-        // propagation and the path search below.
-        build_adjacency(
-            &s.basis,
-            m,
-            &mut s.adj_start,
-            &mut s.adj_pos,
-            &mut s.adj_items,
-        );
-        compute_potentials(
-            &s.basis,
-            &s.c,
-            m,
-            n,
-            &mut s.u,
-            &mut s.v,
-            &mut s.known_u,
-            &mut s.known_v,
-            &s.adj_start,
-            &s.adj_items,
-            &mut s.stack,
-        );
-
-        // Entering variable selection.
-        let mut enter: Option<(usize, usize)> = None;
-        let mut best = -tol;
-        'scan: for i in 0..m {
-            for j in 0..n {
-                if s.is_basic[i * n + j] {
-                    continue;
-                }
-                let r = s.c[i * n + j] - s.u[i] - s.v[j];
-                if iter >= bland_after {
-                    // Bland: first improving cell in index order.
-                    if r < -tol {
-                        enter = Some((i, j));
-                        break 'scan;
-                    }
-                } else if r < best {
-                    best = r;
-                    enter = Some((i, j));
-                }
-            }
-        }
-        let Some((ei, ej)) = enter else {
+        let (u, v) = s.tree.pot.split_at(m);
+        let Some((ei, ej)) = price(&s.c, u, v, tol, iter >= bland_after) else {
             s.solves += 1;
             return Ok(Dims {
-                n,
                 real_rows: s.rows.len(),
                 real_cols: s.cols.len(),
             });
         };
         s.pivots += 1;
 
-        // Unique cycle: path in the basis tree from col node ej to row
-        // node ei, prepended with the entering cell.
-        tree_path(
-            &s.basis,
-            m,
-            n,
-            ej,
-            ei,
-            &s.adj_start,
-            &s.adj_items,
-            &mut s.parent_edge,
-            &mut s.parent_node,
-            &mut s.visited,
-            &mut s.bfs,
-            &mut s.path,
-        );
+        // Unique cycle: the tree path from col node ej to row node ei,
+        // closed by the entering cell. `up` edges lie on ej's side.
+        let up = s.tree.cycle_into(ei, ej, &mut s.path);
 
         // Flow change theta: minimum flow among odd-position (donor)
         // cells of the cycle. Position 0 is the entering cell (+).
@@ -402,7 +330,7 @@ fn solve_core(
         let mut leave_pos = usize::MAX;
         for (pos, &cell_idx) in s.path.iter().enumerate() {
             if pos % 2 == 0 {
-                // positions 0,2,4.. in `path` are donors (see tree_path).
+                // positions 0,2,4.. in `path` are donors (see cycle_into).
                 let f = s.basis[cell_idx].flow;
                 // Bland-compatible tie-break: smallest tableau index.
                 if f < theta - 1e-15
@@ -427,15 +355,18 @@ fn solve_core(
                 s.basis[cell_idx].flow += theta;
             }
         }
-        let leaving_idx = s.path[leave_pos];
-        let leaving = s.basis[leaving_idx];
-        s.is_basic[leaving.i * n + leaving.j] = false;
-        s.is_basic[ei * n + ej] = true;
-        s.basis[leaving_idx] = BasicCell {
+        // The entering cell takes the leaving cell's basis slot.
+        let slot = s.path[leave_pos];
+        let leaving = s.basis[slot];
+        s.c[leaving.i * n + leaving.j] = leaving.cost;
+        let cost = std::mem::replace(&mut s.c[ei * n + ej], f64::INFINITY);
+        s.basis[slot] = BasicCell {
             i: ei,
             j: ej,
             flow: theta,
+            cost,
         };
+        s.tree.rehang(&s.basis, leaving, slot, leave_pos < up);
     }
     Err(EmdError::DidNotConverge)
 }
@@ -455,7 +386,7 @@ fn finish(
         if cell.flow <= 0.0 || cell.i >= dims.real_rows || cell.j >= dims.real_cols {
             continue;
         }
-        total_cost += cell.flow * s.c[cell.i * dims.n + cell.j];
+        total_cost += cell.flow * cell.cost;
         total_flow += cell.flow;
         on_flow(s.rows[cell.i], s.cols[cell.j], cell.flow);
     }
@@ -469,18 +400,20 @@ fn tableau_index(cell: &BasicCell, n: usize) -> usize {
 
 /// Northwest-corner initial basic feasible solution: exactly
 /// `m + n - 1` basic cells (some possibly zero-flow). Consumes the
-/// marginals in place.
-fn northwest_corner(a: &mut [f64], b: &mut [f64], cells: &mut Vec<BasicCell>) {
+/// marginals in place and moves each basic cell's cost out of the
+/// row-major `m x n` matrix `c`, leaving `+∞` there.
+fn northwest_corner(a: &mut [f64], b: &mut [f64], c: &mut [f64], cells: &mut Vec<BasicCell>) {
     let m = a.len();
     let n = b.len();
     cells.clear();
     cells.reserve(m + n - 1);
     let (mut i, mut j) = (0usize, 0usize);
     loop {
-        let f = a[i].min(b[j]).max(0.0);
-        cells.push(BasicCell { i, j, flow: f });
-        a[i] -= f;
-        b[j] -= f;
+        let flow = a[i].min(b[j]).max(0.0);
+        let cost = std::mem::replace(&mut c[i * n + j], f64::INFINITY);
+        cells.push(BasicCell { i, j, flow, cost });
+        a[i] -= flow;
+        b[j] -= flow;
         if i + 1 == m && j + 1 == n {
             break;
         }
@@ -494,155 +427,215 @@ fn northwest_corner(a: &mut [f64], b: &mut [f64], cells: &mut Vec<BasicCell>) {
     }
 }
 
-/// CSR adjacency of the basis tree: node ids `0..m` are rows, `m..m+n`
-/// columns; each basic cell is an edge incident to two nodes. The
-/// counting sort preserves basis order within each node's list, so
-/// traversals visit edges in exactly the order the old per-node `Vec`
-/// lists produced.
-fn build_adjacency(
-    basis: &[BasicCell],
-    m: usize,
-    start: &mut Vec<usize>,
-    pos: &mut Vec<usize>,
-    items: &mut Vec<usize>,
-) {
-    // m + n == basis.len() + 1 for a spanning tree.
-    let nodes = basis.len() + 1;
-    start.clear();
-    start.resize(nodes + 1, 0);
-    for cell in basis {
-        start[cell.i + 1] += 1;
-        start[m + cell.j + 1] += 1;
+/// Lanes of the pricing sweep's running row minima.
+const LANES: usize = 8;
+
+/// The entering cell, or `None` at optimality: one sweep over the
+/// row-major cost matrix `c` (basic cells `+∞`) keeps 8-lane minima of
+/// the reduced costs `c_ij − u_i − v_j` per row. The most-negative rule
+/// takes the first cell, row-major, that equals the smallest row minimum
+/// below `−tol`; Bland's rule (`bland`) the first cell below `−tol` of
+/// the first row whose minimum is.
+fn price(c: &[f64], u: &[f64], v: &[f64], tol: f64, bland: bool) -> Option<(usize, usize)> {
+    let n = v.len();
+    let tail = n - n % LANES;
+    let mut best = -tol;
+    let mut enter_row = None;
+    for (i, (row, &ui)) in c.chunks_exact(n).zip(u).enumerate() {
+        let mut lanes = [f64::INFINITY; LANES];
+        for (cs, vs) in row.chunks_exact(LANES).zip(v.chunks_exact(LANES)) {
+            for k in 0..LANES {
+                let r = cs[k] - ui - vs[k];
+                lanes[k] = if r < lanes[k] { r } else { lanes[k] };
+            }
+        }
+        for (k, (&cj, &vj)) in row[tail..].iter().zip(&v[tail..]).enumerate() {
+            let r = cj - ui - vj;
+            lanes[k] = if r < lanes[k] { r } else { lanes[k] };
+        }
+        let min = lanes
+            .iter()
+            .fold(f64::INFINITY, |a, &r| if r < a { r } else { a });
+        if min < best {
+            best = min;
+            enter_row = Some(i);
+            if bland {
+                break;
+            }
+        }
     }
-    for k in 0..nodes {
-        start[k + 1] += start[k];
-    }
-    pos.clear();
-    pos.extend_from_slice(&start[..nodes]);
-    items.clear();
-    items.resize(2 * basis.len(), 0);
-    for (idx, cell) in basis.iter().enumerate() {
-        items[pos[cell.i]] = idx;
-        pos[cell.i] += 1;
-        items[pos[m + cell.j]] = idx;
-        pos[m + cell.j] += 1;
-    }
+    let i = enter_row?;
+    let ui = u[i];
+    let hit = |r: f64| (bland && r < -tol) || (!bland && r <= best);
+    let mut row = c[i * n..(i + 1) * n].iter().zip(v);
+    row.position(|(&cj, &vj)| hit(cj - ui - vj)).map(|j| (i, j))
 }
 
-/// Solve for the dual potentials over the basis spanning tree
-/// (`u[0] = 0` is the normalization).
-#[allow(clippy::too_many_arguments)]
-fn compute_potentials(
-    basis: &[BasicCell],
-    c: &[f64],
+/// The basis as a spanning tree rooted at row node 0. Node ids `0..m`
+/// are rows and `m..m + n` columns; each basic cell is the edge between
+/// its row and its column, named by its slot in the basis. Row `i`'s
+/// incident slots sit at `adj[i * n..][..deg[i]]` and column `j`'s at
+/// `adj[m * n + j * m..][..deg[m + j]]` (a row meets at most `n`
+/// columns, a column at most `m` rows), so edits never reallocate.
+#[derive(Debug, Clone, Default)]
+struct BasisTree {
     m: usize,
     n: usize,
-    u: &mut [f64],
-    v: &mut [f64],
-    known_u: &mut Vec<bool>,
-    known_v: &mut Vec<bool>,
-    adj_start: &[usize],
-    adj_items: &[usize],
-    stack: &mut Vec<usize>,
-) {
-    known_u.clear();
-    known_u.resize(m, false);
-    known_v.clear();
-    known_v.resize(n, false);
-    u[0] = 0.0;
-    known_u[0] = true;
-    stack.clear();
-    stack.push(0); // node ids
-    while let Some(node) = stack.pop() {
-        for &idx in &adj_items[adj_start[node]..adj_start[node + 1]] {
-            let cell = &basis[idx];
-            if node < m {
-                // row node: propagate to the column.
-                if !known_v[cell.j] {
-                    v[cell.j] = c[cell.i * n + cell.j] - u[cell.i];
-                    known_v[cell.j] = true;
-                    stack.push(m + cell.j);
+    /// Parent node per node (the root's is unused).
+    parent: Vec<usize>,
+    /// Basis slot of the edge to the parent (`usize::MAX` at the root).
+    parent_edge: Vec<usize>,
+    /// Edges between each node and the root.
+    depth: Vec<usize>,
+    /// MODI potentials: `u` for the rows, then `v` for the columns.
+    pot: Vec<f64>,
+    /// Flat adjacency (see the type docs).
+    adj: Vec<usize>,
+    /// Incident edges per node.
+    deg: Vec<usize>,
+    /// DFS stack of [`BasisTree::hang`].
+    stack: Vec<usize>,
+    /// Row-side half of the cycle in [`BasisTree::cycle_into`].
+    back: Vec<usize>,
+}
+
+impl BasisTree {
+    /// Build the tree over `basis` (an `m x n` tableau's spanning tree)
+    /// and compute every potential with `u_0 = 0`. Buffers are sized to
+    /// the shape here, so the pivots that follow never allocate.
+    fn plant(&mut self, basis: &[BasicCell], m: usize, n: usize) {
+        let nodes = m + n;
+        self.m = m;
+        self.n = n;
+        self.deg.clear();
+        self.deg.resize(nodes, 0);
+        self.adj.clear();
+        self.adj.resize(2 * m * n, 0);
+        for (e, cell) in basis.iter().enumerate() {
+            self.link(cell.i, e);
+            self.link(m + cell.j, e);
+        }
+        self.parent.clear();
+        self.parent.resize(nodes, 0);
+        self.parent_edge.clear();
+        self.parent_edge.resize(nodes, usize::MAX);
+        self.depth.clear();
+        self.depth.resize(nodes, 0);
+        self.pot.clear();
+        self.pot.resize(nodes, 0.0);
+        self.stack.clear();
+        self.stack.reserve(nodes);
+        self.back.clear();
+        self.back.reserve(nodes);
+        self.hang(basis, 0);
+    }
+
+    /// Start of `node`'s adjacency segment.
+    fn base(&self, node: usize) -> usize {
+        if node < self.m {
+            node * self.n
+        } else {
+            self.m * self.n + (node - self.m) * self.m
+        }
+    }
+
+    fn link(&mut self, node: usize, e: usize) {
+        let at = self.base(node) + self.deg[node];
+        self.adj[at] = e;
+        self.deg[node] += 1;
+    }
+
+    fn unlink(&mut self, node: usize, e: usize) {
+        let base = self.base(node);
+        let last = base + self.deg[node] - 1;
+        let mut at = base;
+        while self.adj[at] != e {
+            at += 1;
+        }
+        self.adj[at] = self.adj[last];
+        self.deg[node] -= 1;
+    }
+
+    /// Set parent, depth and potential of every node below `top`, whose
+    /// own are already set, top-down from `top`.
+    fn hang(&mut self, basis: &[BasicCell], top: usize) {
+        self.stack.clear();
+        self.stack.push(top);
+        while let Some(node) = self.stack.pop() {
+            let base = self.base(node);
+            for at in base..base + self.deg[node] {
+                let e = self.adj[at];
+                if e == self.parent_edge[node] {
+                    continue;
                 }
-            } else if !known_u[cell.i] {
-                u[cell.i] = c[cell.i * n + cell.j] - v[cell.j];
-                known_u[cell.i] = true;
-                stack.push(cell.i);
+                let cell = basis[e];
+                // The other end of the edge: the column of a row node,
+                // the row of a column node.
+                let child = cell.i + self.m + cell.j - node;
+                self.parent[child] = node;
+                self.parent_edge[child] = e;
+                self.depth[child] = self.depth[node] + 1;
+                // v_j = c_ij − u_i from a row, u_i = c_ij − v_j from a column.
+                self.pot[child] = cell.cost - self.pot[node];
+                self.stack.push(child);
             }
         }
     }
-    debug_assert!(
-        known_u.iter().all(|&k| k) && known_v.iter().all(|&k| k),
-        "basis is not a spanning tree"
-    );
-}
 
-/// Path (as basis-cell indices) in the basis tree from column node
-/// `start_col` to row node `goal_row`, written into `path`.
-///
-/// The first edge on the path is incident to `start_col` and is a donor
-/// (receives `-theta`): adding `+theta` at the entering cell `(goal_row,
-/// start_col)` over-fills column `start_col`, so the basic edge leaving it
-/// must shed flow. Donor/receiver then alternate along the path, so even
-/// positions are donors.
-#[allow(clippy::too_many_arguments)]
-fn tree_path(
-    basis: &[BasicCell],
-    m: usize,
-    n: usize,
-    start_col: usize,
-    goal_row: usize,
-    adj_start: &[usize],
-    adj_items: &[usize],
-    parent_edge: &mut Vec<usize>,
-    parent_node: &mut Vec<usize>,
-    visited: &mut Vec<bool>,
-    bfs: &mut VecDeque<usize>,
-    path: &mut Vec<usize>,
-) {
-    let num_nodes = m + n;
-    // BFS from col node to row node.
-    let start = m + start_col;
-    let goal = goal_row;
-    parent_edge.clear();
-    parent_edge.resize(num_nodes, usize::MAX);
-    parent_node.clear();
-    parent_node.resize(num_nodes, usize::MAX);
-    visited.clear();
-    visited.resize(num_nodes, false);
-    visited[start] = true;
-    bfs.clear();
-    // Capacity is pinned to the node count, not to whatever high-water
-    // mark earlier searches happened to reach: each node enters the
-    // queue at most once, so this makes the queue shape-bound and keeps
-    // warm solves allocation-free even when a deeper basis tree shows
-    // up late in a stream.
-    bfs.reserve(num_nodes);
-    bfs.push_back(start);
-    while let Some(node) = bfs.pop_front() {
-        if node == goal {
-            break;
+    /// Write the tree path from column `ej` to row `ei` into `path`, as
+    /// basis slots starting at `ej`'s end, and return how many of them
+    /// lie between `ej` and the two ends' lowest common ancestor.
+    ///
+    /// The first edge is a donor (receives `-theta`): adding `+theta` at
+    /// the entering cell `(ei, ej)` over-fills column `ej`, so the basic
+    /// edge leaving it must shed flow. Donor/receiver then alternate, so
+    /// even positions are donors.
+    fn cycle_into(&mut self, ei: usize, ej: usize, path: &mut Vec<usize>) -> usize {
+        path.clear();
+        self.back.clear();
+        let (mut a, mut b) = (self.m + ej, ei);
+        while self.depth[a] > self.depth[b] {
+            path.push(self.parent_edge[a]);
+            a = self.parent[a];
         }
-        for &idx in &adj_items[adj_start[node]..adj_start[node + 1]] {
-            let cell = &basis[idx];
-            let other = if node < m { m + cell.j } else { cell.i };
-            if !visited[other] {
-                visited[other] = true;
-                parent_edge[other] = idx;
-                parent_node[other] = node;
-                bfs.push_back(other);
-            }
+        while self.depth[b] > self.depth[a] {
+            self.back.push(self.parent_edge[b]);
+            b = self.parent[b];
         }
+        while a != b {
+            path.push(self.parent_edge[a]);
+            a = self.parent[a];
+            self.back.push(self.parent_edge[b]);
+            b = self.parent[b];
+        }
+        let up = path.len();
+        path.extend(self.back.iter().rev());
+        up
     }
-    debug_assert!(visited[goal], "basis tree disconnected");
-    // Walk back from goal to start; then reverse so the path starts at
-    // the column side (first edge = donor adjacent to entering column).
-    path.clear();
-    let mut node = goal;
-    while node != start {
-        path.push(parent_edge[node]);
-        node = parent_node[node];
+
+    /// Replace edge `slot` (formerly the cell `old`, now the entering
+    /// cell `basis[slot]`) and re-hang the subtree the old edge cut off.
+    /// That subtree holds the entering column when the old edge lay on
+    /// the column's side of the cycle (`col_side`), else the entering
+    /// row; it hangs from the other end of the entering edge.
+    fn rehang(&mut self, basis: &[BasicCell], old: BasicCell, slot: usize, col_side: bool) {
+        let m = self.m;
+        let new = basis[slot];
+        self.unlink(old.i, slot);
+        self.unlink(m + old.j, slot);
+        self.link(new.i, slot);
+        self.link(m + new.j, slot);
+        let (top, anchor) = if col_side {
+            (m + new.j, new.i)
+        } else {
+            (new.i, m + new.j)
+        };
+        self.parent[top] = anchor;
+        self.parent_edge[top] = slot;
+        self.depth[top] = self.depth[anchor] + 1;
+        self.pot[top] = new.cost - self.pot[anchor];
+        self.hang(basis, top);
     }
-    path.reverse();
 }
 
 #[cfg(test)]
@@ -789,8 +782,9 @@ mod tests {
     fn nw_corner_cell_count() {
         let mut a = [1.0, 2.0, 3.0];
         let mut b = [2.0, 2.0, 2.0];
+        let mut c = vec![1.0; a.len() * b.len()];
         let mut cells = Vec::new();
-        northwest_corner(&mut a, &mut b, &mut cells);
+        northwest_corner(&mut a, &mut b, &mut c, &mut cells);
         assert_eq!(cells.len(), 5);
         let total: f64 = cells.iter().map(|c| c.flow).sum();
         assert!((total - 6.0).abs() < 1e-12);
@@ -801,8 +795,9 @@ mod tests {
         // Supplies exactly match demands pairwise -> degenerate cells.
         let mut a = [2.0, 2.0];
         let mut b = [2.0, 2.0];
+        let mut c = vec![1.0; a.len() * b.len()];
         let mut cells = Vec::new();
-        northwest_corner(&mut a, &mut b, &mut cells);
+        northwest_corner(&mut a, &mut b, &mut c, &mut cells);
         assert_eq!(cells.len(), 3);
         let total: f64 = cells.iter().map(|c| c.flow).sum();
         assert!((total - 4.0).abs() < 1e-12);

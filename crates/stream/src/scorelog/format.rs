@@ -87,6 +87,20 @@ impl Encoder {
         }
     }
 
+    /// Streams interned so far; their ids are `0..defined()`.
+    pub(crate) fn defined(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Forget every stream interned at id `len` or later, so the table
+    /// is what it was when [`Encoder::defined`] returned `len` (ids are
+    /// dense). A log whose frame never reached disk calls this to take
+    /// back the `DefineStream` records that frame carried: the next
+    /// frame naming those streams defines them again.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.ids.retain(|_, id| (*id as usize) < len);
+    }
+
     /// Encode one event batch as a frame payload into `buf` (cleared
     /// first). Returns the number of records written — the events plus
     /// any `DefineStream` records for first-sighted streams.

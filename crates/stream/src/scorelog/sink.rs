@@ -142,7 +142,9 @@ impl EventLog {
     }
 
     /// Append `events` as one frame (none for an empty batch); returns
-    /// the bytes written (frame header included).
+    /// the bytes written (frame header included). A frame that fails
+    /// leaves the intern table as it was, so streams it introduced are
+    /// defined again by the next frame that names them.
     ///
     /// # Errors
     /// I/O failure, or a batch larger than the maximum frame.
@@ -150,8 +152,12 @@ impl EventLog {
         if events.is_empty() {
             return Ok(0);
         }
+        let mark = self.enc.defined();
         self.enc.encode_batch(events, &mut self.buf);
-        let written = self.log.append(&self.buf)?;
+        let written = self
+            .log
+            .append(&self.buf)
+            .inspect_err(|_| self.enc.truncate(mark))?;
         self.events += events.len() as u64;
         Ok(written)
     }
@@ -252,6 +258,29 @@ mod tests {
         let events = super::super::ScoreLogReader::read_all(&path).unwrap();
         assert_eq!(events.len(), 3);
         assert_eq!(events[2], point("b", 1, 3.0));
+    }
+
+    #[test]
+    fn refused_frame_leaves_its_streams_undefined() {
+        let path = tempdir().join("refused.slog");
+        let _ = std::fs::remove_file(&path);
+        let mut sink = ScoreLogSink::open(&path).unwrap();
+        sink.deliver(&[point("a", 0, 1.0)]).unwrap();
+        // A batch over the maximum frame that introduces a new stream:
+        // refused before a byte reaches disk.
+        let huge = Event::Note("x".repeat(crate::framed::MAX_FRAME as usize));
+        assert!(sink.deliver(&[point("fresh", 0, 2.0), huge]).is_err());
+        assert_eq!(sink.log.enc.defined(), 1, "fresh was rolled back");
+        assert_eq!(sink.events(), 1);
+        // The next batch naming the stream must carry its DefineStream,
+        // or the log would reference an id it never defined.
+        sink.deliver(&[point("fresh", 1, 3.0)]).unwrap();
+        sink.flush_durable().unwrap();
+        drop(sink);
+        let events = super::super::ScoreLogReader::read_all(&path).unwrap();
+        assert_eq!(events, vec![point("a", 0, 1.0), point("fresh", 1, 3.0)]);
+        let reopened = ScoreLogSink::open(&path).unwrap();
+        assert_eq!(reopened.events(), 2);
     }
 
     #[test]
