@@ -40,8 +40,9 @@ pub struct DetectorConfig {
     pub signature: SignatureMethod,
     /// Ground distance for the EMD.
     pub metric: GroundMetric,
-    /// Optimal-transport solver (exact simplex by default; Sinkhorn as
-    /// a fast approximation for large signatures).
+    /// Optimal-transport solver (exact EMD by default — closed form for
+    /// balanced 1-D pairs, the simplex otherwise; Sinkhorn as a fast
+    /// approximation for large signatures).
     pub solver: EmdSolver,
     /// Constants of the information estimators (defaults are fine: they
     /// cancel in the scores).

@@ -11,9 +11,9 @@
 use crate::error::DetectError;
 use crate::signature_builder::GroundMetric;
 use emd::{
-    centroid_lower_bound_with, emd_with, feasible_upper_bound, projected_lower_bound_with,
-    sinkhorn_emd_with, Bracket, LadderScratch, Signature, SinkhornConfig, SinkhornScratch,
-    TransportScratch,
+    centroid_lower_bound_with, emd_line_with, emd_with, feasible_upper_bound,
+    projected_lower_bound_with, sinkhorn_emd_with, Bracket, LadderScratch, Signature,
+    SinkhornConfig, SinkhornScratch, TransportScratch,
 };
 use infoest::{
     auto_entropy_block, auto_entropy_logs, cross_entropy_block, cross_entropy_logs,
@@ -24,8 +24,14 @@ use infoest::{
 /// Which optimal-transport solver computes the signature distances.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum EmdSolver {
-    /// Exact transportation simplex (Eqs. 7–12) — the paper's EMD and
-    /// the default.
+    /// The paper's exact EMD (Eqs. 7–12) and the default. A balanced
+    /// 1-D pair (equal masses, e.g. histograms of equal-size bags) is
+    /// solved in closed form as the L1 gap between the two CDFs; every
+    /// other pair (unequal masses, more dimensions) by the
+    /// transportation simplex. Both are exact: on dyadic-width
+    /// histograms with integer counts they give identical bits, and
+    /// elsewhere they differ only by rounding, within the simplex's
+    /// `1e-10` pricing tolerance.
     #[default]
     Exact,
     /// Entropy-regularized Sinkhorn iteration — an `O(K^2)`-per-sweep
@@ -35,7 +41,7 @@ pub enum EmdSolver {
     Sinkhorn(SinkhornConfig),
     /// Bound-ladder solver: cheap lower/upper bounds (centroid ground
     /// distance, projected 1-D EMD, northwest-corner feasible flow)
-    /// decide what they can before the exact simplex runs. See
+    /// decide what they can before the exact solver runs. See
     /// [`TieredConfig`] for the two modes.
     Tiered(TieredConfig),
 }
@@ -43,8 +49,8 @@ pub enum EmdSolver {
 /// Configuration of [`EmdSolver::Tiered`]'s bound ladder.
 ///
 /// **Exact mode** (`epsilon: None`, the default): every *value* request
-/// ([`EmdSolver::distance_with`]) is answered by the exact simplex —
-/// bit-identical to [`EmdSolver::Exact`] — and the ladder prunes only
+/// ([`EmdSolver::distance_with`]) is answered by the exact solver of
+/// [`EmdSolver::Exact`] — bit-identical to it — and the ladder prunes only
 /// provably decidable work, i.e. candidates in
 /// [`EmdSolver::nearest_with`] whose lower bound already exceeds the
 /// current k-th neighbor distance.
@@ -52,7 +58,7 @@ pub enum EmdSolver {
 /// **Bounded-error mode** (`epsilon: Some(eps)`): a value request may be
 /// answered from the bound bracket alone once `ub - lb <= eps`, walking
 /// the ladder centroid → projection → Sinkhorn estimate and falling
-/// through to the exact simplex only when no tier decides. The returned
+/// through to the exact solver only when no tier decides. The returned
 /// value is then within `eps` of the exact EMD (up to the Sinkhorn
 /// marginal tolerance, ~1e-9 relative).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -121,12 +127,14 @@ impl SolverScratch {
 }
 
 /// Cumulative counters of a [`SolverScratch`]'s lifetime work: exact
-/// simplex solves and their pivots, Sinkhorn solves and their sweeps.
+/// solves and their simplex pivots, Sinkhorn solves and their sweeps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Exact transportation-simplex solves that reached optimality.
+    /// Exact solves completed: closed-form line solves plus
+    /// transportation-simplex solves that reached optimality.
     pub exact_solves: u64,
-    /// Stepping-stone pivots across all exact solves.
+    /// Stepping-stone pivots across all exact solves (a line solve
+    /// takes none).
     pub pivots: u64,
     /// Sinkhorn solves completed.
     pub sinkhorn_solves: u64,
@@ -138,13 +146,13 @@ pub struct SolverStats {
     pub tier_projection: u64,
     /// Tiered requests decided by the Sinkhorn estimate tier.
     pub tier_estimate: u64,
-    /// Tiered requests that fell through to the exact simplex.
+    /// Tiered requests that fell through to the exact solver.
     pub tier_exact: u64,
 }
 
 impl SolverStats {
-    /// Fraction of tiered requests decided without an exact simplex
-    /// solve; `0.0` when no tiered request has run.
+    /// Fraction of tiered requests decided without an exact solve;
+    /// `0.0` when no tiered request has run.
     pub fn pruned_ratio(&self) -> f64 {
         let pruned = self.tier_centroid + self.tier_projection + self.tier_estimate;
         let total = pruned + self.tier_exact;
@@ -185,7 +193,7 @@ impl EmdSolver {
         scratch: &mut SolverScratch,
     ) -> Result<f64, emd::EmdError> {
         match self {
-            EmdSolver::Exact => emd_with(a, b, metric, &mut scratch.transport),
+            EmdSolver::Exact => exact_with(a, b, metric, &mut scratch.transport),
             EmdSolver::Sinkhorn(cfg) => sinkhorn_emd_with(a, b, metric, cfg, &mut scratch.sinkhorn),
             EmdSolver::Tiered(cfg) => match cfg.epsilon {
                 // Exact mode: value requests bypass the ladder entirely
@@ -193,7 +201,7 @@ impl EmdSolver {
                 // `EmdSolver::Exact`; pruning lives in `nearest_with`.
                 None => {
                     scratch.tiers.exact += 1;
-                    emd_with(a, b, metric, &mut scratch.transport)
+                    exact_with(a, b, metric, &mut scratch.transport)
                 }
                 Some(eps) => tiered_bounded(a, b, metric, eps, &cfg.estimate, scratch),
             },
@@ -258,7 +266,7 @@ impl EmdSolver {
                 // must match the exact solver's.
                 EmdSolver::Tiered(_) => {
                     scratch.tiers.exact += 1;
-                    emd_with(query, cand, metric, &mut scratch.transport)?
+                    exact_with(query, cand, metric, &mut scratch.transport)?
                 }
                 _ => self.distance_with(query, cand, metric, scratch)?,
             };
@@ -272,6 +280,23 @@ impl EmdSolver {
             }
         }
         Ok(())
+    }
+}
+
+/// The one exact EMD entry (Eqs. 7–12): the closed-form line solve for
+/// a balanced 1-D pair, the transportation simplex for every other pair.
+/// Each [`GroundMetric`] is `|x − y|` on a line, so the line solve is
+/// the same EMD — bit-identical on dyadic-width histograms with integer
+/// counts, within rounding elsewhere (see `emd::one_d`).
+fn exact_with(
+    a: &Signature,
+    b: &Signature,
+    metric: &GroundMetric,
+    scratch: &mut TransportScratch,
+) -> Result<f64, emd::EmdError> {
+    match emd_line_with(a, b, scratch) {
+        Some(d) => Ok(d),
+        None => emd_with(a, b, metric, scratch),
     }
 }
 
@@ -297,7 +322,7 @@ fn tiered_bounded(
     // error reporting — the bounded path must fail exactly like Exact.
     if a.dim() != b.dim() || a.total_weight() <= 0.0 || b.total_weight() <= 0.0 {
         scratch.tiers.exact += 1;
-        return emd_with(a, b, metric, &mut scratch.transport);
+        return exact_with(a, b, metric, &mut scratch.transport);
     }
     let ub = feasible_upper_bound(a, b, metric);
     let centroid_lb = centroid_lower_bound_with(a, b, metric, &mut scratch.ladder);
@@ -340,7 +365,7 @@ fn tiered_bounded(
         }
     }
     scratch.tiers.exact += 1;
-    emd_with(a, b, metric, &mut scratch.transport)
+    exact_with(a, b, metric, &mut scratch.transport)
 }
 
 /// Which change-point score to compute.
@@ -391,7 +416,7 @@ impl WindowScorer {
         let mut data = vec![0.0; w * w];
         for i in 0..w {
             for j in (i + 1)..w {
-                let d = emd_with(
+                let d = exact_with(
                     &signatures[i],
                     &signatures[j],
                     metric,
@@ -712,6 +737,35 @@ mod tests {
     fn lr_with_tau_prime_one_panics() {
         let s = scorer(&[0.0, 1.0, 2.0, 5.0], 3, 1);
         s.score_lr(&equal_weights(3), &equal_weights(1));
+    }
+
+    #[test]
+    fn balanced_line_pairs_solve_without_pivots_and_unbalanced_ones_pivot() {
+        let line = |xs: &[f64], ws: &[f64]| {
+            Signature::new(xs.iter().map(|&x| vec![x]).collect(), ws.to_vec()).unwrap()
+        };
+        let mut scratch = SolverScratch::new();
+        let mut solve = |a: &Signature, b: &Signature| {
+            let before = scratch.stats();
+            let d = EmdSolver::Exact
+                .distance_with(a, b, &GroundMetric::Euclidean, &mut scratch)
+                .unwrap();
+            let after = scratch.stats();
+            (
+                d,
+                after.exact_solves - before.exact_solves,
+                after.pivots - before.pivots,
+            )
+        };
+        let a = line(&[10.0, 0.0, 5.0], &[1.0, 1.0, 2.0]);
+        // Equal masses: the closed-form line solve, no pivots.
+        let (d, solves, pivots) = solve(&a, &line(&[0.0, 10.0, 5.0], &[2.0, 1.0, 1.0]));
+        assert_eq!((d, solves, pivots), (1.25, 1, 0));
+        // Unequal masses: partial matching through the simplex, whose
+        // northwest-corner start is not optimal here.
+        let (d, solves, pivots) = solve(&a, &line(&[0.0, 10.0, 5.0], &[2.0, 1.0, 2.0]));
+        assert_eq!((d, solves), (0.0, 1));
+        assert!(pivots > 0);
     }
 
     /// Deterministic multi-point 2-D signatures in two clusters (around

@@ -11,9 +11,19 @@
 //! The solver is a from-scratch transportation simplex
 //! (northwest-corner initialization, MODI/u-v optimality test,
 //! stepping-stone pivots with Bland's anti-cycling fallback). Unequal masses are balanced with a
-//! zero-cost slack node, the textbook reduction. A closed-form `O(n log
-//! n)` solver for the 1-D equal-mass case is provided both as a fast path
-//! and as an independent oracle for property tests.
+//! zero-cost slack node, the textbook reduction.
+//!
+//! A closed-form `O(n log n)` solver covers the 1-D equal-mass case:
+//! there the EMD is the L1 gap between the two CDFs over the common
+//! mass. [`emd_1d`] is the independent oracle the property tests hold
+//! the simplex to; [`emd_line_with`] is the fast path exact callers try
+//! first. It answers a pair only when the simplex would solve a balanced
+//! 1-D problem (both sides 1-D, positive masses that pass the simplex's
+//! balance test) and returns `None` for everything else — unequal masses
+//! (partial matching) and higher dimensions stay with the simplex. On
+//! dyadic-width histograms with integer counts, the paper's 1-D
+//! signature, every partial sum is exact, so the two give identical
+//! bits; elsewhere they differ by rounding. See [`one_d`].
 //!
 //! The simplex keeps its basis as a tree rooted at the first supply row
 //! for the whole solve. A pivot prices every cell in one branch-free
@@ -40,7 +50,7 @@ pub use bounds::{
 };
 pub use error::EmdError;
 pub use ground::{Chebyshev, Euclidean, GroundDistance, Manhattan, WeightedEuclidean};
-pub use one_d::{emd_1d, emd_1d_events};
+pub use one_d::{emd_1d, emd_1d_events, emd_line_with};
 pub use signature::Signature;
 pub use sinkhorn::{
     sinkhorn_emd, sinkhorn_emd_with, SinkhornConfig, SinkhornScratch, SinkhornStats,

@@ -3,10 +3,33 @@
 //! For two distributions on the line with equal total mass and
 //! `d(x, y) = |x - y|`, the EMD equals the L1 distance between the CDFs:
 //! `EMD = ∫ |F_a(x) - F_b(x)| dx / W` where `W` is the common mass.
-//! This is both a fast path (`O(n log n)` vs simplex) and an independent
-//! oracle the property tests compare the general solver against.
+//! [`emd_1d`] is an independent oracle the property tests compare the
+//! general solver against.
+//!
+//! [`emd_line_with`] is the fast path (`O(n log n)` vs simplex): it
+//! answers a signature pair in closed form exactly when the simplex
+//! would solve a balanced 1-D problem — both sides 1-D, both masses
+//! positive, and the masses equal under the simplex's own balance test.
+//! Any other pair (bags of different size, i.e. partial matching;
+//! higher dimensions) gets `None` and belongs to the simplex.
+//!
+//! **Bits.** The sweep and the simplex add up the same cost in different
+//! orders, so in general they agree only to rounding (and to the
+//! simplex's `1e-10` pricing tolerance). On the paper's 1-D signature —
+//! a fixed-width histogram with origin 0, centres `(b + ½)·w` — with a
+//! dyadic width (`w = 2⁻ᵏ`, e.g. 0.5) and integer counts, every
+//! distance, product and partial sum of both methods is exact, and both
+//! divide that exact total by the same mass: the results are
+//! bit-identical. `tests/line_emd.rs` pins both regimes.
 
 use crate::error::EmdError;
+use crate::signature::Signature;
+use crate::transport::TransportScratch;
+
+/// The simplex's balance test: masses within this relative gap are
+/// solved as one balanced problem (`solve_core` snaps the gap away);
+/// wider gaps get a slack node, i.e. partial matching.
+const BALANCE_TOL: f64 = 1e-12;
 
 /// Exact 1-D EMD between weighted point sets of equal total mass.
 ///
@@ -64,6 +87,40 @@ pub fn emd_1d_events(events: &mut [(f64, f64)], common_mass: f64) -> f64 {
         prev_x = x;
     }
     cost / common_mass
+}
+
+/// Closed-form EMD (Eq. 12) of a balanced 1-D signature pair under
+/// `d(x, y) = |x − y|` — the Euclidean, Manhattan and Chebyshev ground
+/// distances all reduce to it on a line.
+///
+/// Returns `Some` exactly when both signatures are 1-D, both masses
+/// are positive, and `|Σa − Σb| <= 1e-12 · max(Σa, Σb)` (the simplex's
+/// own balance test). The signed event list is built in `scratch`, the
+/// CDF gap is swept by [`emd_1d_events`], and the cost is divided by
+/// `Σa`, the flow the simplex ships on a balanced problem. Counts as
+/// one solve with zero pivots in [`TransportScratch::stats`]; allocates
+/// nothing once the scratch has seen a pair of this size.
+///
+/// Any other pair gets `None` without touching the counters: solve it
+/// with the simplex ([`crate::emd_with`]), which also reports the
+/// errors (dimension mismatch, zero mass).
+pub fn emd_line_with(a: &Signature, b: &Signature, scratch: &mut TransportScratch) -> Option<f64> {
+    if a.dim() != 1 || b.dim() != 1 {
+        return None;
+    }
+    let wa = a.total_weight();
+    let wb = b.total_weight();
+    if wa <= 0.0 || wb <= 0.0 || (wa - wb).abs() > BALANCE_TOL * wa.max(wb) {
+        return None;
+    }
+    // Zero weights are dropped, as the simplex filters them out.
+    let events = &mut scratch.events;
+    events.clear();
+    events.extend(a.iter().filter(|&(_, w)| w > 0.0).map(|(p, w)| (p[0], w)));
+    events.extend(b.iter().filter(|&(_, w)| w > 0.0).map(|(q, w)| (q[0], -w)));
+    let d = emd_1d_events(events, wa);
+    scratch.solves += 1;
+    Some(d)
 }
 
 #[cfg(test)]

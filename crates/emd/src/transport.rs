@@ -78,7 +78,9 @@ struct BasicCell {
 /// Every buffer the transportation simplex touches, reusable across
 /// solves: the filtered row/column index maps, the balanced tableau
 /// (costs and marginals), the basic-cell set, the basis tree, and the
-/// stepping-stone path. One scratch serves problems of any shape —
+/// stepping-stone path — plus the event list of the closed-form line
+/// solve that stands in for it on balanced 1-D pairs
+/// ([`crate::emd_line_with`]). One scratch serves problems of any shape —
 /// buffers are resized (never shrunk) per solve, so after the largest
 /// problem has been seen once, further solves allocate nothing.
 ///
@@ -107,10 +109,14 @@ pub struct TransportScratch {
     /// Ground-distance cost matrix for the crate-root `emd_with` entry
     /// points (kept here so one scratch covers the whole EMD solve).
     pub(crate) ground: Vec<f64>,
+    /// Signed `(position, weight)` events of the closed-form line solve
+    /// ([`crate::emd_line_with`]).
+    pub(crate) events: Vec<(f64, f64)>,
     /// Solves completed through this scratch (cumulative; plain `u64`,
     /// so counting costs nothing on the hot path — callers who want
-    /// rates read [`TransportScratch::stats`] and difference).
-    solves: u64,
+    /// rates read [`TransportScratch::stats`] and difference). A
+    /// closed-form line solve counts as one solve with no pivots.
+    pub(crate) solves: u64,
     /// Simplex pivots applied across those solves (cumulative).
     pivots: u64,
 }

@@ -12,8 +12,15 @@
 //!   weights and single points included). Both methods round
 //!   differently, and the simplex stops within its `1e-10` pricing
 //!   tolerance, so they agree only to `1e-9` relative.
+//!
+//! Both the oracle `emd_1d` and the scratch entry `emd_line_with` are
+//! held to this, and `emd_line_with` must decline (`None`) every pair
+//! the simplex does not solve as a balanced 1-D problem.
 
-use emd::{emd_1d, emd_with, Chebyshev, Euclidean, Manhattan, Signature, TransportScratch};
+use emd::{
+    emd_1d, emd_line_with, emd_with, Chebyshev, Euclidean, Manhattan, Signature, TransportScratch,
+    TransportStats,
+};
 
 /// SplitMix64: a self-contained generator, so the inputs do not depend
 /// on any library RNG stream.
@@ -151,14 +158,30 @@ fn real_pair(rng: &mut SplitMix) -> [(Signature, Vec<(f64, f64)>); 2] {
     [line(&pa, &wa), line(&pb, &wb)]
 }
 
+/// The line solve through `scratch`, checking that it counts as one
+/// solve with no pivots.
+fn line_solve(a: &Signature, b: &Signature, scratch: &mut TransportScratch) -> f64 {
+    let before = scratch.stats();
+    let d = emd_line_with(a, b, scratch).expect("a balanced 1-D pair");
+    let after = scratch.stats();
+    assert_eq!(
+        (after.solves - before.solves, after.pivots - before.pivots),
+        (1, 0)
+    );
+    d
+}
+
 #[test]
 fn closed_form_is_bit_equal_to_the_simplex_on_dyadic_histograms() {
     let mut rng = SplitMix(0x11e_d1ad);
     let mut scratch = TransportScratch::new();
+    let mut line = TransportScratch::new();
     for k in 0..=4 {
         for _ in 0..150 {
             let [(a, pa), (b, pb)] = dyadic_pair(&mut rng, k);
-            let closed = emd_1d(&pa, &pb).unwrap();
+            let oracle = emd_1d(&pa, &pb).unwrap();
+            let closed = line_solve(&a, &b, &mut line);
+            assert_eq!(oracle.to_bits(), closed.to_bits());
             for simplex in [
                 emd_with(&a, &b, &Euclidean, &mut scratch),
                 emd_with(&a, &b, &Manhattan, &mut scratch),
@@ -178,13 +201,49 @@ fn closed_form_is_bit_equal_to_the_simplex_on_dyadic_histograms() {
 fn closed_form_matches_the_simplex_on_real_valued_pairs() {
     let mut rng = SplitMix(0x7ea1_1e55);
     let mut scratch = TransportScratch::new();
+    let mut line = TransportScratch::new();
     for _ in 0..600 {
         let [(a, pa), (b, pb)] = real_pair(&mut rng);
-        let closed = emd_1d(&pa, &pb).unwrap();
         let simplex = emd_with(&a, &b, &Euclidean, &mut scratch).unwrap();
-        assert!(
-            (closed - simplex).abs() <= 1e-9 * simplex.abs().max(1.0),
-            "{closed} vs {simplex}: {pa:?} vs {pb:?}"
-        );
+        for closed in [emd_1d(&pa, &pb).unwrap(), line_solve(&a, &b, &mut line)] {
+            assert!(
+                (closed - simplex).abs() <= 1e-9 * simplex.abs().max(1.0),
+                "{closed} vs {simplex}: {pa:?} vs {pb:?}"
+            );
+        }
     }
+}
+
+#[test]
+fn line_solve_declines_every_pair_the_simplex_does_not_balance() {
+    let sig = |points: Vec<Vec<f64>>, weights: Vec<f64>| Signature::new(points, weights).unwrap();
+    let line = |xs: &[f64], ws: &[f64]| sig(xs.iter().map(|&x| vec![x]).collect(), ws.to_vec());
+    let a = line(&[0.5, 1.5], &[2.0, 1.0]);
+    let declined = [
+        // Unequal masses: partial matching, a slack node in the simplex.
+        (a.clone(), line(&[0.5, 2.5], &[2.0, 2.0])),
+        // A gap far below emd_1d's 1e-9 but above the simplex's 1e-12.
+        (a.clone(), line(&[1.0], &[3.0 * (1.0 + 1e-11)])),
+        // Zero mass on either side.
+        (a.clone(), line(&[1.0, 2.0], &[0.0, 0.0])),
+        (line(&[1.0], &[0.0]), a.clone()),
+        // Not 1-D, on one side or both.
+        (a.clone(), sig(vec![vec![1.0, 0.0]], vec![3.0])),
+        (
+            sig(vec![vec![0.0, 0.0], vec![1.0, 1.0]], vec![1.0, 2.0]),
+            sig(vec![vec![1.0, 0.0]], vec![3.0]),
+        ),
+    ];
+    let mut scratch = TransportScratch::new();
+    for (x, y) in &declined {
+        assert_eq!(emd_line_with(x, y, &mut scratch), None, "{x:?} vs {y:?}");
+    }
+    assert_eq!(scratch.stats(), TransportStats::default());
+
+    // A gap inside the simplex's balance test is still one balanced
+    // problem, so the line solve takes it.
+    let b = line(&[1.0], &[3.0 * (1.0 + 1e-13)]);
+    let closed = line_solve(&a, &b, &mut scratch);
+    let simplex = emd_with(&a, &b, &Euclidean, &mut TransportScratch::new()).unwrap();
+    assert!((closed - simplex).abs() <= 1e-12, "{closed} vs {simplex}");
 }

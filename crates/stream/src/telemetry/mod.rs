@@ -54,7 +54,7 @@ pub mod names {
     /// Messages drained in the latest tick, labeled `worker` — the
     /// observable proxy for queue depth behind `sync_channel`.
     pub const ENGINE_QUEUE_DEPTH: &str = "bagscpd_engine_queue_depth";
-    /// Exact transportation-simplex solves.
+    /// Exact EMD solves: closed-form 1-D line solves plus simplex solves.
     pub const SOLVER_EXACT_SOLVES: &str = "bagscpd_solver_exact_solves_total";
     /// Stepping-stone pivots across exact solves.
     pub const SOLVER_PIVOTS: &str = "bagscpd_solver_pivots_total";

@@ -100,7 +100,7 @@ pub(crate) struct WorkerTelemetry {
     points: Counter,
     /// Per-bag stream errors (shared).
     errors: Counter,
-    /// Exact simplex solves (shared).
+    /// Exact EMD solves, line and simplex (shared).
     exact_solves: Counter,
     /// Simplex pivots (shared).
     pivots: Counter,
@@ -114,7 +114,7 @@ pub(crate) struct WorkerTelemetry {
     tier_projection: Counter,
     /// Decisions settled by the Sinkhorn estimate (shared).
     tier_estimate: Counter,
-    /// Decisions that fell through to the exact simplex (shared).
+    /// Decisions that fell through to the exact solver (shared).
     tier_exact: Counter,
     /// Solve-latency probe, cloned into the worker's [`EmdScratch`].
     solve_timer: SolveTimer,
@@ -158,7 +158,7 @@ impl WorkerTelemetry {
             ),
             exact_solves: registry.counter(
                 names::SOLVER_EXACT_SOLVES,
-                "Exact transportation-simplex solves",
+                "Exact EMD solves (closed-form 1-D line solves and simplex solves)",
             ),
             pivots: registry.counter(
                 names::SOLVER_PIVOTS,
