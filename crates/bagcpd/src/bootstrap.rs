@@ -88,7 +88,7 @@ pub struct ConfidenceInterval {
 pub struct BootstrapScratch {
     /// Per-replicate RNG seeds.
     seeds: Vec<u64>,
-    /// Replicate scores (sorted in place for the quantiles).
+    /// Replicate scores (partly reordered in place for the quantiles).
     scores: Vec<f64>,
     /// Dirichlet concentrations of the reference-window posterior.
     alpha_ref: Vec<f64>,
@@ -211,15 +211,33 @@ pub fn bootstrap_ci_with(
         });
     }
 
-    // Unstable sort: no merge buffer, and equal keys are identical f64
-    // bit patterns, so the sorted sequence (and thus the quantiles) is
-    // exactly what the stable sort produced.
-    scratch
-        .scores
-        .sort_unstable_by(|a, b| a.partial_cmp(b).expect("scores are finite"));
-    ConfidenceInterval {
-        lo: quantile_sorted(&scratch.scores, cfg.alpha / 2.0),
-        up: quantile_sorted(&scratch.scores, 1.0 - cfg.alpha / 2.0),
+    let by_value = |a: &f64, b: &f64| a.partial_cmp(b).expect("scores are finite");
+    let (q_lo, q_up) = (cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0);
+    place_quantile(&mut scratch.scores, q_lo, by_value);
+    let lo = quantile_sorted(&scratch.scores, q_lo);
+    place_quantile(&mut scratch.scores, q_up, by_value);
+    let up = quantile_sorted(&scratch.scores, q_up);
+    ConfidenceInterval { lo, up }
+}
+
+/// Move the two order statistics `⌊h⌋` and `⌈h⌉` (`h = q·(R − 1)`) of
+/// `scores` to their sorted positions. They are the only entries
+/// [`quantile_sorted`] reads for the `q` quantile, so it then returns
+/// the same bits as on fully sorted scores (scores that compare equal
+/// are the same value), in `O(R)` instead of a sort's `O(R log R)`.
+fn place_quantile(scores: &mut [f64], q: f64, by_value: impl Fn(&f64, &f64) -> std::cmp::Ordering) {
+    let h = q * (scores.len() - 1) as f64;
+    let lo = h.floor() as usize;
+    let (_, _, above) = scores.select_nth_unstable_by(lo, &by_value);
+    if h.ceil() as usize > lo {
+        // Order statistic `lo + 1` is the least score above `lo`.
+        let mut least = 0;
+        for i in 1..above.len() {
+            if by_value(&above[i], &above[least]).is_lt() {
+                least = i;
+            }
+        }
+        above.swap(0, least);
     }
 }
 
@@ -452,6 +470,29 @@ mod tests {
             for (i, a) in per_replicate.iter().enumerate() {
                 assert_eq!(a.to_bits(), whole[i].to_bits(), "{kind:?} replicate {i}");
                 assert_eq!(a.to_bits(), split[i].to_bits(), "{kind:?} replicate {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn selected_quantiles_match_sorted_quantiles_bitwise() {
+        // Scores with ties, for replicate counts whose `h` falls on and
+        // between order statistics.
+        let mut rng = rng(21);
+        for n in [2usize, 3, 16, 41, 200, 1000] {
+            let scores: Vec<f64> = (0..n)
+                .map(|_| (rng.gen::<f64>() * 20.0).floor() * 0.1 - 0.7)
+                .collect();
+            let mut sorted = scores.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for q in [0.0, 0.005, 0.025, 0.05, 0.25, 0.5, 0.975, 0.995, 1.0] {
+                let mut selected = scores.clone();
+                place_quantile(&mut selected, q, |a, b| a.partial_cmp(b).unwrap());
+                assert_eq!(
+                    quantile_sorted(&selected, q).to_bits(),
+                    quantile_sorted(&sorted, q).to_bits(),
+                    "n {n}, q {q}"
+                );
             }
         }
     }
