@@ -27,10 +27,14 @@ fn engine_config(workers: usize) -> EngineConfig {
 }
 
 /// Bag `t` of stream `s`: stationary for even streams, an injected shift
-/// at t = 4 for odd streams.
+/// at t = 5 for odd streams. A bag depends only on the stream and the
+/// side of the shift, so a window inside one regime scores ≈ 0 with an
+/// interval of width ≈ 0, and under `engine_config`'s τ = 3, τ' = 2 the
+/// point t = 5 (reference bags 2..5 all before the shift, test bags
+/// 5..7 all after) alerts against t = 3 for every master seed.
 fn bag_for(s: usize, t: usize) -> Bag {
-    let level = if s % 2 == 1 && t >= 4 { 5.0 } else { 0.0 };
-    Bag::from_scalars((0..12).map(move |i| level + ((i * 3 + s + t) % 7) as f64 * 0.1))
+    let level = if s % 2 == 1 && t >= 5 { 5.0 } else { 0.0 };
+    Bag::from_scalars((0..12).map(move |i| level + ((i * 3 + s) % 7) as f64 * 0.1))
 }
 
 /// Group point events per stream.
