@@ -663,6 +663,49 @@ mod tests {
     }
 
     #[test]
+    fn equal_weight_windows_of_six_and_seven_take_the_exponential_draw() {
+        // Six copies of 1/6 (and seven of 1/7) sum to a value that sends
+        // `n·w/Σ` off 1 in some entry, so these windows reach the
+        // exponential draw only through the equal-weight snap. Their
+        // intervals must equal those of unit weights, whose
+        // concentrations `n·1/n` are exactly 1 with no rounding.
+        let bags = shifted_bags(20, 10, 3.0);
+        for (tau, tau_prime) in [(6, 7), (7, 6)] {
+            for n in [tau, tau_prime] {
+                let w = crate::window::equal_weights(n);
+                let total: f64 = w.iter().sum();
+                assert!(w.iter().any(|&x| n as f64 * x / total != 1.0), "n = {n}");
+            }
+            let det = Detector::new(DetectorConfig {
+                tau,
+                tau_prime,
+                ..small_config()
+            })
+            .unwrap();
+            let (sigs, band) = det.prepare(&bags, 3).unwrap();
+            let out = det.analyze(&bags, 3).unwrap();
+            assert!(!out.points.is_empty());
+            for p in &out.points {
+                let scorer = det.window_scorer(&sigs, &band, p.t).unwrap();
+                let unit = crate::bootstrap::bootstrap_ci(
+                    &scorer,
+                    det.cfg.score,
+                    &vec![1.0; tau],
+                    &vec![1.0; tau_prime],
+                    &det.cfg.bootstrap,
+                    &mut rand::rngs::StdRng::seed_from_u64(bootstrap_seed(3, p.t)),
+                );
+                assert_eq!(
+                    (p.ci.lo.to_bits(), p.ci.up.to_bits()),
+                    (unit.lo.to_bits(), unit.up.to_bits()),
+                    "tau {tau}, tau' {tau_prime}, t {}",
+                    p.t
+                );
+            }
+        }
+    }
+
+    #[test]
     fn discounted_weighting_runs() {
         let bags = shifted_bags(20, 10, 4.0);
         let det = Detector::new(DetectorConfig {

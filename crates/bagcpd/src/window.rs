@@ -200,6 +200,17 @@ mod tests {
     }
 
     #[test]
+    fn equal_weights_give_unit_dirichlet_concentrations() {
+        // The flat bootstrap posterior of Appendix A, exactly: every
+        // concentration is 1.0, so every draw is a normalized Exp(1).
+        let mut alpha = Vec::new();
+        for n in 1..=256 {
+            stats::Dirichlet::alpha_from_weights(&equal_weights(n), &mut alpha);
+            assert_eq!(alpha, vec![1.0; n], "n = {n}");
+        }
+    }
+
+    #[test]
     fn discounted_ref_weights_increase_toward_t() {
         // Reference window 0..5 at t = 5: weights ∝ 1/5, 1/4, ..., 1/1.
         let w = discounted_weights(5, 0..5, true);

@@ -4,9 +4,11 @@
 //! inputs (seeds × window shapes × score kinds × weightings × bootstrap
 //! thread counts) is folded into one FNV-1a hash. Any change to the
 //! values or to the summation order of the estimators, the bootstrap or
-//! the EMD shows up as a different hash. The pinned constant was
-//! captured before the bootstrap started reading a cached log-distance
-//! block, so it also proves that change kept the output bit-identical.
+//! the EMD shows up as a different hash. Both constants were re-pinned
+//! when equal-weight windows started drawing their flat Dirichlet as
+//! normalized Exp(1) variates, a deliberate change of the bootstrap's
+//! random stream; the statistical-contract tests at the repository root
+//! judge that change, these hashes only pin its result.
 
 use bagcpd::{
     Bag, BootstrapConfig, Detection, Detector, DetectorConfig, ScoreKind, SignatureMethod,
@@ -102,7 +104,7 @@ fn analyze_hash() -> u64 {
 
 #[test]
 fn analyze_output_bits_are_pinned() {
-    assert_eq!(analyze_hash(), 18_064_378_787_385_694_085);
+    assert_eq!(analyze_hash(), 2_146_590_092_572_205_801);
 }
 
 /// 14 four-dimensional bags of 48 points with a mean shift at bag 7:
@@ -159,5 +161,5 @@ fn analyze_kmeans_hash() -> u64 {
 /// cells), so this pins the transportation simplex end to end.
 #[test]
 fn analyze_kmeans_output_bits_are_pinned() {
-    assert_eq!(analyze_kmeans_hash(), 16_017_962_364_669_536_489);
+    assert_eq!(analyze_kmeans_hash(), 1_982_863_914_956_420_069);
 }

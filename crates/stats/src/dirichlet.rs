@@ -3,7 +3,17 @@
 //! Rubin's Bayesian bootstrap draws posterior weights
 //! `g ~ Dir(1, …, 1)`; the weighted variant of Appendix B draws
 //! `g ~ Dir(n·pi_1, …, n·pi_n)`. Both reduce to normalizing independent
-//! Gamma variates.
+//! Gamma variates, one per concentration, each from the sampler
+//! [`GammaShape`] picks for it: `Exp(1)` as `−ln U` for a concentration
+//! of exactly 1, Marsaglia–Tsang for any other.
+//!
+//! Equal weights are the flat case: `n·(1/n)/Σ` is 1 in exact
+//! arithmetic, but the rounded sum of `n` copies of `1/n` leaves some
+//! entry an ulp or so off 1 for many `n` (6, 7, 9, 10, …), which would
+//! send those coordinates through the rejection sampler. So
+//! [`Dirichlet::alpha_from_weights`] writes exactly `1.0` when every
+//! weight is bitwise equal, and every equal-weight window draws its
+//! posterior as normalized `Exp(1)` variates.
 
 use crate::gamma::{sample_gamma_shape, GammaShape};
 use rand::Rng;
@@ -51,6 +61,9 @@ impl Dirichlet {
     /// [`Dirichlet::sample_alpha_into`], this is the allocation-free form
     /// of the weighted bootstrap posterior.
     ///
+    /// Bitwise-equal weights give exactly `1.0` in every entry, the
+    /// mathematical value, rather than `n·w/Σ` with `Σ` rounded.
+    ///
     /// # Panics
     /// As [`Dirichlet::from_weights`].
     pub fn alpha_from_weights(weights: &[f64], alpha: &mut Vec<f64>) {
@@ -60,10 +73,15 @@ impl Dirichlet {
             total > 0.0 && weights.iter().all(|&w| w.is_finite() && w >= 0.0),
             "Dirichlet: weights must be >= 0 with positive sum"
         );
+        alpha.clear();
+        let first = weights[0].to_bits();
+        if weights.iter().all(|w| w.to_bits() == first) {
+            alpha.resize(weights.len(), 1.0);
+            return;
+        }
         let n = weights.len() as f64;
         // Clamp at a tiny positive floor so zero-weight entries stay valid
         // (they receive essentially-zero posterior mass).
-        alpha.clear();
         alpha.extend(weights.iter().map(|&w| (n * w / total).max(1e-12)));
     }
 
@@ -121,11 +139,11 @@ impl Dirichlet {
     /// The fill is component-major: for each concentration `alpha[c]`,
     /// all replicates draw their Gamma variate before moving to the next
     /// component, so the alpha vector is swept once, cache-friendly,
-    /// instead of once per replicate — and the Marsaglia–Tsang sampler
-    /// constants for `alpha[c]` ([`GammaShape`]) are computed once per
-    /// component instead of once per draw. Each RNG still sees exactly
-    /// the per-replicate draw sequence of
-    /// [`Dirichlet::sample_alpha_into`] (Gamma draws in component
+    /// instead of once per replicate — and the sampler for `alpha[c]`
+    /// ([`GammaShape`]: the exponential draw or the Marsaglia–Tsang
+    /// constants) is set up once per component instead of once per
+    /// draw. Each RNG still sees exactly the per-replicate draw sequence
+    /// of [`Dirichlet::sample_alpha_into`] (Gamma draws in component
     /// order), and row totals accumulate in the same left-to-right
     /// order — rows are bit-identical to one
     /// [`Dirichlet::sample_alpha_into`] call per RNG.
@@ -312,6 +330,65 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn mixed_concentration_rows_keep_the_reference_draws() {
+        // Components of concentration 1 take one word each for their
+        // exponential draw; every other component must still draw, bit
+        // for bit, what the Marsaglia–Tsang reference draws from the
+        // same point of the stream.
+        let alpha = [1.0, 0.5, 2.0, 1.0, 1.3, 0.05, 1.0];
+        let exp1 = GammaShape::new(1.0);
+        for seed in 0..50u64 {
+            let mut rng = seeded_rng(seed);
+            let mut row = [0.0; 7];
+            Dirichlet::sample_alpha_into(&alpha, &mut rng, &mut row);
+
+            let mut reference = seeded_rng(seed);
+            let gammas: Vec<f64> = alpha
+                .iter()
+                .map(|&a| {
+                    if a == 1.0 {
+                        exp1.sample(&mut reference)
+                    } else {
+                        crate::gamma::tests::reference_sample(a, &mut reference)
+                    }
+                })
+                .collect();
+            let total: f64 = gammas.iter().sum();
+            for (c, (w, g)) in row.iter().zip(&gammas).enumerate() {
+                assert_eq!(
+                    w.to_bits(),
+                    (g / total).to_bits(),
+                    "seed {seed}, component {c}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bitwise_equal_weights_give_unit_concentrations() {
+        let mut alpha = Vec::new();
+        let mut off_by_rounding = 0;
+        for n in 1..=256usize {
+            let w = vec![1.0 / n as f64; n];
+            Dirichlet::alpha_from_weights(&w, &mut alpha);
+            assert_eq!(alpha, vec![1.0; n], "n = {n}");
+            // The general formula rounds some entry off 1 for many n.
+            let total: f64 = w.iter().sum();
+            if w.iter().any(|&x| n as f64 * x / total != 1.0) {
+                off_by_rounding += 1;
+            }
+        }
+        assert!(off_by_rounding > 0);
+        for w in [0.3, 7.0, 1e-300] {
+            Dirichlet::alpha_from_weights(&[w; 9], &mut alpha);
+            assert_eq!(alpha, vec![1.0; 9], "w = {w}");
+        }
+        // Unequal weights keep `n·w/Σ`.
+        Dirichlet::alpha_from_weights(&[4.0, 2.0, 1.0, 1.0], &mut alpha);
+        assert_eq!(alpha, vec![2.0, 1.0, 0.5, 0.5]);
     }
 
     #[test]
