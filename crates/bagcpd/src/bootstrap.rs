@@ -8,6 +8,15 @@
 //! Appendix A). The score is recomputed for each replicate, and the
 //! `α/2` and `1-α/2` empirical quantiles form the confidence interval.
 //!
+//! Under `Weighting::Equal` every concentration is exactly 1 (equal
+//! weights snap to 1 in `Dirichlet::alpha_from_weights` instead of
+//! carrying the rounding of `n·(1/n)/Σ`), so each replicate's weights
+//! are normalized `Exp(1)` draws, `−ln U`, which is Rubin's Bayesian
+//! bootstrap exactly. `Weighting::Discounted` concentrations other than
+//! 1 keep the Marsaglia–Tsang Gamma sampler. The two quantiles are read
+//! from the two order statistics each one needs, placed by selection,
+//! not from a full sort of the `T` scores.
+//!
 //! The EMD matrix is fixed across replicates, so its floored logs are
 //! taken once per inspection point into a log-distance block, and every
 //! replicate reads that block rather than the raw EMD matrix: no `ln`,

@@ -188,9 +188,14 @@ pub(crate) mod tests {
 
     #[test]
     fn moments_shape_one_is_exponential() {
+        // Shape 1 draws Exp(1) directly: mean θ, variance θ², and
+        // P(X > θ) = 1/e (tolerances ≈ 5 standard errors).
         let xs = draw(1.0, 3.0, 100_000, 13);
+        assert!(xs.iter().all(|&x| x.is_finite() && x > 0.0));
         assert!((mean(&xs) - 3.0).abs() < 0.08);
         assert!((sample_var(&xs) - 9.0).abs() < 0.6);
+        let tail = xs.iter().filter(|&&x| x > 3.0).count() as f64 / xs.len() as f64;
+        assert!((tail - (-1.0f64).exp()).abs() < 0.008, "P(X > 3) = {tail}");
     }
 
     #[test]
@@ -249,24 +254,6 @@ pub(crate) mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn shape_one_draws_have_exp1_moments() {
-        let shape = GammaShape::new(1.0);
-        let mut rng = seeded_rng(14);
-        let xs: Vec<f64> = (0..200_000).map(|_| shape.sample(&mut rng)).collect();
-        assert!(xs.iter().all(|&x| x.is_finite() && x > 0.0));
-        // Exp(1): mean 1, variance 1, P(X > 1) = 1/e; the tolerances
-        // are about five standard errors at this sample size.
-        assert!((mean(&xs) - 1.0).abs() < 0.012, "mean {}", mean(&xs));
-        assert!(
-            (sample_var(&xs) - 1.0).abs() < 0.035,
-            "var {}",
-            sample_var(&xs)
-        );
-        let tail = xs.iter().filter(|&&x| x > 1.0).count() as f64 / xs.len() as f64;
-        assert!((tail - (-1.0f64).exp()).abs() < 0.006, "P(X > 1) = {tail}");
     }
 
     /// A generator that returns one fixed word and counts the calls.
